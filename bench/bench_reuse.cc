@@ -1,25 +1,22 @@
-// Reuse benchmark: quantifies the three reuse layers added on top of the
-// batch engines — the batch-scoped shared subtree memo
-// (search/subtree_memo.h), the exact-duplicate result cache
-// (search/result_cache.h), and the sharded k = 0 exact shortcut — against
-// the reuse-off baseline. Emits BENCH_<name>.json (created_by
-// "bench_reuse", validated by tools/validate_bench_json.py, gated by
-// tools/bench_diff.py on the (genome, k, engine, threads) key where
-// `engine` carries the reuse configuration).
+// Reuse benchmark: quantifies the cross-query reuse layers on top of the
+// batch engines — the exact-duplicate result cache (search/result_cache.h)
+// and the sharded k = 0 exact shortcut — against the reuse-off baseline.
+// Emits BENCH_<name>.json (created_by "bench_reuse", validated by
+// tools/validate_bench_json.py, gated by tools/bench_diff.py on the
+// (genome, k, engine, threads) key where `engine` carries the reuse
+// configuration).
 //
 // Two workloads:
 //   * reuse-zipf:   a Zipf(s = 1.0) draw over a small pool of distinct
 //                   patterns — a duplicate-heavy stream in which half the
 //                   pool are first-symbol variants of the other half, so
-//                   distinct queries still share suffixes (the memo's
-//                   case, not just the cache's exact-duplicate case).
+//                   distinct queries still share suffixes but not keys.
 //   * reuse-unique: every query distinct — the overhead-exposure case;
 //                   reuse-on is expected within a few percent of off.
 //
-// Timed runs are single-threaded on purpose: memoized multi-thread runs
-// have timing-dependent SearchStats (see BatchOptions::shared_memo), and
-// bench_diff gates stats exactly. The cross-validation grid, which only
-// compares hit lists, runs multi-threaded.
+// Timed runs are single-threaded, so each row's wall time is the reuse
+// tier's cost alone, not the pool's scaling. The cross-validation grid,
+// which only compares hit lists, runs multi-threaded.
 //
 // Every configuration's per-query hit lists are compared byte-for-byte
 // against the reuse-off baseline (and the monolithic baseline against the
@@ -58,7 +55,6 @@ namespace {
 // One reuse configuration; `name` is the run's `engine` key in the report.
 struct ConfigSpec {
   const char* name;
-  bool memo = false;      // BatchOptions::shared_memo.enabled
   bool cache = false;     // BatchOptions::result_cache.enabled
   bool sharded = false;   // route through ShardedBatchSearcher
   bool shortcut = false;  // BatchOptions::sharded_exact_shortcut
@@ -66,11 +62,9 @@ struct ConfigSpec {
 
 constexpr ConfigSpec kConfigs[] = {
     {"batch_off"},
-    {"batch_memo", /*memo=*/true},
-    {"batch_cache", /*memo=*/false, /*cache=*/true},
-    {"batch_memo_cache", /*memo=*/true, /*cache=*/true},
-    {"sharded_off", false, false, /*sharded=*/true, /*shortcut=*/false},
-    {"sharded_cache", false, true, /*sharded=*/true, /*shortcut=*/true},
+    {"batch_cache", /*cache=*/true},
+    {"sharded_off", false, /*sharded=*/true, /*shortcut=*/false},
+    {"sharded_cache", true, /*sharded=*/true, /*shortcut=*/true},
 };
 
 // Zipf(s = 1.0) over ranks 1..n. Weights are exact IEEE divisions
@@ -141,11 +135,6 @@ BatchOptions MakeOptions(const ConfigSpec& cfg, int threads,
   options.num_threads = threads;
   options.engine = engine;
   options.sharded_exact_shortcut = cfg.shortcut;
-  // The memo only exists for Algorithm A; enabling it under another engine
-  // would be silently ignored — keep the configs honest instead.
-  if (cfg.memo && engine == BatchEngine::kAlgorithmA) {
-    options.shared_memo.enabled = true;
-  }
   if (cfg.cache) {
     ResultCacheOptions cache_options;
     cache_options.enabled = true;
@@ -161,15 +150,12 @@ struct RunOutcome {
   uint64_t total_hits = 0;
   SearchStats stats;
   ResultCache::CacheStats cache_stats;
-  uint64_t memo_lookups = 0;
-  uint64_t memo_hits = 0;
-  uint64_t memo_publishes = 0;
   std::vector<std::vector<Occurrence>> occurrences;  // from the first rep
 };
 
 // Runs `queries` under `cfg` `reps` times with a fresh searcher (and fresh
 // cache) per rep, so every rep is an identical cold-start batch. Wall is
-// the min across reps; hits/stats/counters come from the first rep (and
+// the min across reps; hits/stats/cache counters come from the first rep (and
 // hits are asserted identical across reps).
 RunOutcome RunTimed(const FmIndex& index, const ShardedIndex& sharded,
                     const ConfigSpec& cfg,
@@ -179,10 +165,6 @@ RunOutcome RunTimed(const FmIndex& index, const ShardedIndex& sharded,
     std::shared_ptr<ResultCache> cache;
     const BatchOptions options =
         MakeOptions(cfg, /*threads=*/1, BatchEngine::kAlgorithmA, &cache);
-#if BWTK_METRICS_ENABLED
-    obs::MetricsBlock before;
-    if (rep == 0) before = obs::MetricsRegistry::Instance().Snapshot();
-#endif
     BatchResult result;
     double wall = 0;
     if (cfg.sharded) {
@@ -209,13 +191,6 @@ RunOutcome RunTimed(const FmIndex& index, const ShardedIndex& sharded,
       out.stats = result.stats;
       out.occurrences = std::move(result.occurrences);
       if (cache != nullptr) out.cache_stats = cache->Stats();
-#if BWTK_METRICS_ENABLED
-      const obs::MetricsBlock delta =
-          obs::Diff(obs::MetricsRegistry::Instance().Snapshot(), before);
-      out.memo_lookups = delta.counters[obs::kCounterMemoLookups];
-      out.memo_hits = delta.counters[obs::kCounterMemoHits];
-      out.memo_publishes = delta.counters[obs::kCounterMemoPublishes];
-#endif
     } else if (hits != out.total_hits) {
       std::fprintf(stderr, "%s: rep %d found %llu hits, rep 0 found %llu\n",
                    cfg.name, rep, static_cast<unsigned long long>(hits),
@@ -276,9 +251,9 @@ size_t CrossValidate(const FmIndex& index, const ShardedIndex& sharded,
           std::string(BatchEngineName(cell.engine)) + "/k=" +
           std::to_string(k);
 
-      // Monolithic: reuse-off baseline vs memo+cache.
+      // Monolithic: reuse-off baseline vs cache.
       ConfigSpec off{"crossval_off"};
-      ConfigSpec reuse{"crossval_reuse", /*memo=*/true, /*cache=*/true};
+      ConfigSpec reuse{"crossval_reuse", /*cache=*/true};
       BatchResult base_mono, reuse_mono;
       {
         BatchSearcher searcher(
@@ -298,9 +273,8 @@ size_t CrossValidate(const FmIndex& index, const ShardedIndex& sharded,
 
       // Sharded: full fan-out baseline vs cache + k = 0 shortcut; and the
       // sharded baseline against the monolithic one (coordinate identity).
-      ConfigSpec shard_off{"crossval_sharded_off", false, false, true, false};
-      ConfigSpec shard_reuse{"crossval_sharded_reuse", false, true, true,
-                             true};
+      ConfigSpec shard_off{"crossval_sharded_off", false, true, false};
+      ConfigSpec shard_reuse{"crossval_sharded_reuse", true, true, true};
       BatchResult base_shard, reuse_shard;
       {
         ShardedBatchSearcher searcher(
@@ -372,7 +346,7 @@ int Run(int argc, char** argv) {
   const int crossval_threads = 4;
 
   PrintBanner(
-      "bench_reuse: shared-memo + result-cache reuse -> BENCH_" + name +
+      "bench_reuse: result-cache reuse -> BENCH_" + name +
           ".json",
       genome_tag + ", " + std::to_string(query_count) + " queries of " +
           std::to_string(read_length) + " bp (zipf over " +
@@ -435,7 +409,7 @@ int Run(int argc, char** argv) {
   const AlgorithmA serial(&index);
   AlgorithmAScratch scratch;
   TablePrinter table({"workload", "k", "config", "wall", "reads/s", "hits",
-                      "cache hits", "memo hits"});
+                      "cache hits"});
 
   for (const int32_t k : k_values) {
     struct Workload {
@@ -489,14 +463,13 @@ int Run(int argc, char** argv) {
                       FormatSeconds(outcome.wall_seconds),
                       std::to_string(static_cast<uint64_t>(qps)),
                       FormatCount(outcome.total_hits),
-                      FormatCount(outcome.cache_stats.hits),
-                      FormatCount(outcome.memo_hits)});
+                      FormatCount(outcome.cache_stats.hits)});
       }
     }
   }
 
-  // Aggregate speedups: reuse-off wall over memo+cache wall, summed per
-  // workload family across k (monolithic), plus the sharded cache ratio.
+  // Aggregate speedups: reuse-off wall over cache wall, summed per workload
+  // family across k (monolithic), plus the sharded cache ratio.
   auto wall_sum = [&](const std::string& family, const char* config) {
     double sum = 0;
     for (const Row& row : rows) {
@@ -508,9 +481,9 @@ int Run(int argc, char** argv) {
     return sum;
   };
   const double zipf_off = wall_sum("reuse-zipf", "batch_off");
-  const double zipf_full = wall_sum("reuse-zipf", "batch_memo_cache");
+  const double zipf_full = wall_sum("reuse-zipf", "batch_cache");
   const double unique_off = wall_sum("reuse-unique", "batch_off");
-  const double unique_full = wall_sum("reuse-unique", "batch_memo_cache");
+  const double unique_full = wall_sum("reuse-unique", "batch_cache");
   const double zipf_shard_off = wall_sum("reuse-zipf", "sharded_off");
   const double zipf_shard_cache = wall_sum("reuse-zipf", "sharded_cache");
   const double zipf_speedup = zipf_full > 0 ? zipf_off / zipf_full : 0;
@@ -609,13 +582,7 @@ int Run(int argc, char** argv) {
         .Key("cache_misses")
         .Value(r.cache_stats.misses)
         .Key("cache_evictions")
-        .Value(r.cache_stats.evictions)
-        .Key("memo_lookups")
-        .Value(r.memo_lookups)
-        .Key("memo_hits")
-        .Value(r.memo_hits)
-        .Key("memo_publishes")
-        .Value(r.memo_publishes);
+        .Value(r.cache_stats.evictions);
     json.Key("stats");
     obs::AppendSearchStats(r.stats, &json);
     json.EndObject();
@@ -635,7 +602,7 @@ int Run(int argc, char** argv) {
 
   table.Print();
   std::printf(
-      "\naggregate: zipf memo+cache speedup %.2fx, unique ratio %.2fx, "
+      "\naggregate: zipf cache speedup %.2fx, unique ratio %.2fx, "
       "sharded cache speedup %.2fx\n",
       zipf_speedup, unique_ratio, zipf_sharded_speedup);
 

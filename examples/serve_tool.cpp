@@ -405,8 +405,6 @@ int RunStats(const std::string& host, uint16_t port) {
               static_cast<unsigned long long>(stats->rejected_overloaded));
   std::printf("rejected_unavailable: %llu\n",
               static_cast<unsigned long long>(stats->rejected_unavailable));
-  std::printf("memo_hits:            %llu\n",
-              static_cast<unsigned long long>(stats->memo_hits));
   std::printf("result_cache_hits:    %llu\n",
               static_cast<unsigned long long>(stats->result_cache_hits));
   std::printf("result_cache_misses:  %llu\n",

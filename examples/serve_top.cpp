@@ -239,29 +239,29 @@ void Render(const bwtk::obs::JsonValue& varz, size_t top) {
                 Millis(p95).c_str(), Millis(p99).c_str());
   }
 
-  // Reuse tiers (PR 8): cumulative hit counts + 1m rates.
-  std::printf("\nreuse:  memo_hits=%llu  result_cache=%llu/%llu hit/miss  "
-              "shard_shortcuts=%llu   (1m rates: %.1f %.1f %.1f)\n",
-              static_cast<unsigned long long>(
-                  Uint(varz, {"session", "memo_hits"})),
+  // Reuse: cumulative hit counts + 1m rates.
+  std::printf("\nreuse:  result_cache=%llu/%llu hit/miss  "
+              "shard_shortcuts=%llu   (1m rates: %.1f %.1f)\n",
               static_cast<unsigned long long>(
                   Uint(varz, {"session", "result_cache_hits"})),
               static_cast<unsigned long long>(
                   Uint(varz, {"session", "result_cache_misses"})),
               static_cast<unsigned long long>(
                   Uint(varz, {"session", "shard_exact_shortcuts"})),
-              Rate(varz, "1m", "memo_hits"),
               Rate(varz, "1m", "result_cache_hits"),
               Rate(varz, "1m", "shard_exact_shortcuts"));
 
-  // Per-engine served counts over 1m.
-  std::printf("engines (1m served/s): A=%.1f stree=%.1f kerror=%.1f "
-              "wildcard=%.1f dict=%.1f\n",
-              Rate(varz, "1m", "serve_served_algorithm_a"),
-              Rate(varz, "1m", "serve_served_stree"),
-              Rate(varz, "1m", "serve_served_kerror"),
-              Rate(varz, "1m", "serve_served_wildcard"),
-              Rate(varz, "1m", "serve_served_dictionary"));
+  // Per-engine served counts over 1m: every engine a ticket can resolve
+  // to, i.e. every BatchEngine before kAuto (the last value, a picker that
+  // never answers a ticket itself).
+  std::printf("engines (1m served/s):");
+  for (int e = 0; e < static_cast<int>(bwtk::BatchEngine::kAuto); ++e) {
+    const std::string_view name =
+        bwtk::BatchEngineName(static_cast<bwtk::BatchEngine>(e));
+    std::printf(" %.*s=%.1f", static_cast<int>(name.size()), name.data(),
+                Rate(varz, "1m", "serve_served_" + std::string(name)));
+  }
+  std::printf("\n");
 
   const bwtk::obs::JsonValue* connections = varz.Find("connections");
   if (connections != nullptr &&

@@ -131,104 +131,6 @@ std::string JsonEscape(std::string_view raw) {
   return out;
 }
 
-// --- Flat parser ---------------------------------------------------------
-
-namespace {
-
-void SkipSpace(std::string_view json, size_t* pos) {
-  while (*pos < json.size() &&
-         std::isspace(static_cast<unsigned char>(json[*pos]))) {
-    ++*pos;
-  }
-}
-
-}  // namespace
-
-Result<std::vector<std::pair<std::string, uint64_t>>> ParseFlatUint64Object(
-    std::string_view json) {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  size_t pos = 0;
-  SkipSpace(json, &pos);
-  if (pos >= json.size() || json[pos] != '{') {
-    return Status::InvalidArgument("expected '{' at start of object");
-  }
-  ++pos;
-  SkipSpace(json, &pos);
-  if (pos < json.size() && json[pos] == '}') {  // empty object
-    ++pos;
-    SkipSpace(json, &pos);
-    if (pos != json.size()) {
-      return Status::InvalidArgument("trailing characters after object");
-    }
-    return out;
-  }
-  for (;;) {
-    SkipSpace(json, &pos);
-    if (pos >= json.size() || json[pos] != '"') {
-      return Status::InvalidArgument("expected '\"' to open a key at offset " +
-                                     std::to_string(pos));
-    }
-    ++pos;
-    std::string key;
-    while (pos < json.size() && json[pos] != '"') {
-      if (json[pos] == '\\') {
-        return Status::InvalidArgument("escaped keys are not supported");
-      }
-      key.push_back(json[pos++]);
-    }
-    if (pos >= json.size()) {
-      return Status::InvalidArgument("unterminated key");
-    }
-    ++pos;  // closing quote
-    SkipSpace(json, &pos);
-    if (pos >= json.size() || json[pos] != ':') {
-      return Status::InvalidArgument("expected ':' after key \"" + key + "\"");
-    }
-    ++pos;
-    SkipSpace(json, &pos);
-    if (pos >= json.size() ||
-        !std::isdigit(static_cast<unsigned char>(json[pos]))) {
-      return Status::InvalidArgument(
-          "expected a non-negative integer value for key \"" + key + "\"");
-    }
-    uint64_t value = 0;
-    while (pos < json.size() &&
-           std::isdigit(static_cast<unsigned char>(json[pos]))) {
-      const uint64_t digit = static_cast<uint64_t>(json[pos] - '0');
-      if (value > (~uint64_t{0} - digit) / 10) {
-        return Status::OutOfRange("integer overflow for key \"" + key + "\"");
-      }
-      value = value * 10 + digit;
-      ++pos;
-    }
-    if (pos < json.size() && (json[pos] == '.' || json[pos] == 'e' ||
-                              json[pos] == 'E')) {
-      return Status::InvalidArgument(
-          "fractional values are not supported (key \"" + key + "\")");
-    }
-    out.emplace_back(std::move(key), value);
-    SkipSpace(json, &pos);
-    if (pos >= json.size()) {
-      return Status::InvalidArgument("unterminated object");
-    }
-    if (json[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (json[pos] == '}') {
-      ++pos;
-      break;
-    }
-    return Status::InvalidArgument("expected ',' or '}' at offset " +
-                                   std::to_string(pos));
-  }
-  SkipSpace(json, &pos);
-  if (pos != json.size()) {
-    return Status::InvalidArgument("trailing characters after object");
-  }
-  return out;
-}
-
 // --- Generic parser ------------------------------------------------------
 
 namespace {

@@ -1,5 +1,5 @@
-// Minimal JSON emission (and a small flat-object parser) for the
-// observability subsystem. Dependency-free by design: the container bakes in
+// Minimal JSON emission (and a small reader) for the observability
+// subsystem. Dependency-free by design: the container bakes in
 // no JSON library, and the bench reports only need objects, arrays, strings,
 // and numbers.
 
@@ -69,18 +69,10 @@ class JsonWriter {
 /// Escapes `raw` for inclusion inside a JSON string literal (no quotes).
 std::string JsonEscape(std::string_view raw);
 
-/// Parses a flat JSON object whose values are all non-negative integers:
-///   {"a": 1, "b": 2}
-/// Returns the key/value pairs in document order. Rejects nesting, strings,
-/// negative and fractional values — this is the inverse of the flat stat
-/// objects this library emits (e.g. SearchStatsToJson), not a general
-/// parser.
-Result<std::vector<std::pair<std::string, uint64_t>>> ParseFlatUint64Object(
-    std::string_view json);
-
 // --- Generic JSON values -------------------------------------------------
 // A small recursive JSON reader for consumers of the telemetry documents
-// this library emits (the /varz.json exposition endpoint, bench reports):
+// this library emits (the /varz.json exposition endpoint, bench reports,
+// the flat stat objects SearchStatsFromJson reads back):
 // dependency-free like the writer above, tolerant of any well-formed JSON,
 // and convenient for "walk down to one number" access patterns. Not a
 // validating schema tool — tools/validate_*.py own that job.

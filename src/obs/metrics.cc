@@ -17,7 +17,6 @@ constexpr std::string_view kCounterNames[kNumCounters] = {
     "serve_submitted", "serve_completed", "serve_overloaded",
     "dict_searches",   "dict_patterns",   "dict_trie_nodes",
     "dict_shared_extends",
-    "memo_lookups",    "memo_hits",       "memo_publishes",
     "result_cache_hits", "result_cache_misses", "result_cache_evictions",
     "shard_exact_shortcuts",
     "serve_stats_trailers", "serve_conn_overloaded",

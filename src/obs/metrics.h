@@ -106,12 +106,8 @@ enum CounterId : uint32_t {
   /// multiple patterns at once. Compare against extendall_calls to see how
   /// much sharing the pattern set actually exposes.
   kCounterDictSharedExtends,
-  // cross-query reuse layer (search/subtree_memo.h, search/result_cache.h).
-  // Memo counters are flushed once per query from locals; cache counters are
-  // counted inside the cache (per query, never per node).
-  kCounterMemoLookups,    ///< shared-memo probes issued by Algorithm A.
-  kCounterMemoHits,       ///< probes that skipped a whole subtree.
-  kCounterMemoPublishes,  ///< completed subtrees published to the memo.
+  // cross-query result cache (search/result_cache.h), counted inside the
+  // cache (per query, never per node).
   kCounterResultCacheHits,       ///< queries answered from the result cache.
   kCounterResultCacheMisses,     ///< result-cache probes that missed.
   kCounterResultCacheEvictions,  ///< LRU entries evicted to fit capacity.

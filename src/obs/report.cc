@@ -43,14 +43,21 @@ std::string SearchStatsToJson(const SearchStats& stats) {
 }
 
 Result<SearchStats> SearchStatsFromJson(std::string_view json) {
-  auto parsed = ParseFlatUint64Object(json);
+  auto parsed = ParseJson(json);
   if (!parsed.ok()) return parsed.status();
+  if (parsed->kind != JsonValue::Kind::kObject) {
+    return Status::InvalidArgument("SearchStats JSON is not an object");
+  }
   SearchStats stats;
-  for (const auto& [key, value] : *parsed) {
+  for (const auto& [key, value] : parsed->members) {
+    if (!value.is_uint) {  // set only for non-negative integral numbers
+      return Status::InvalidArgument("SearchStats field \"" + key +
+                                     "\" is not an unsigned integer");
+    }
     bool known = false;
     for (const StatsField& field : kStatsFields) {
       if (field.name == key) {
-        stats.*field.member = value;
+        stats.*field.member = value.uint_value;
         known = true;
         break;
       }

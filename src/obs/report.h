@@ -25,9 +25,10 @@ void AppendSearchStats(const SearchStats& stats, JsonWriter* writer);
 /// `stats` as a standalone flat JSON object.
 std::string SearchStatsToJson(const SearchStats& stats);
 
-/// Inverse of SearchStatsToJson. Unknown keys fail (they signal a schema
-/// drift the caller should know about); missing keys default to zero so old
-/// reports parse under a grown struct.
+/// Inverse of SearchStatsToJson, read through ParseJson. Anything but an
+/// object whose values are all unsigned integers fails, as do unknown keys
+/// (they signal a schema drift the caller should know about); missing keys
+/// default to zero so old reports parse under a grown struct.
 Result<SearchStats> SearchStatsFromJson(std::string_view json);
 
 // --- MetricsBlock -> JSON ------------------------------------------------

@@ -22,9 +22,8 @@
 //     access in the enumeration loop. With no trace active the hooks cost
 //     one predictable branch.
 //   * Collection is sampled: TraceSink::ShouldSample hashes the trace id,
-//     so the sampled subset is deterministic for a fixed query order (and
-//     therefore stable under BatchOptions::deterministic_order) no matter
-//     which worker thread runs the query.
+//     so the sampled subset is deterministic for a fixed query order no
+//     matter which worker thread runs the query.
 //   * The sink doubles as the slow-query log: it retains the N worst
 //     sampled traces by wall time (a min-heap) alongside a capped list of
 //     all sampled traces. Exporters (obs/trace_export.h) turn both into

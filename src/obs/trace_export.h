@@ -23,8 +23,8 @@
 // hits), the query's SearchStats, per-span aggregate times, and the
 // nodes-expanded-per-depth profile. The numeric core of a summary is also
 // available as a flat {key: uint} object (TraceTotalsToJson) that
-// round-trips through obs/json.h's ParseFlatUint64Object — the hook the
-// tests use and the contract scripts can rely on.
+// round-trips through obs/json.h's ParseJson — the hook the tests use and
+// the contract scripts can rely on.
 
 #ifndef BWTK_OBS_TRACE_EXPORT_H_
 #define BWTK_OBS_TRACE_EXPORT_H_
@@ -49,7 +49,7 @@ void AppendTraceSummary(const Trace& trace, JsonWriter* writer);
 /// The numeric core of a summary as a flat {key: uint64} object value:
 /// trace_id, k, pattern_length, wall_ns, matches, prefix_table_hits,
 /// nodes_expanded, max_depth, spans, dropped_spans. Parseable with
-/// ParseFlatUint64Object.
+/// ParseJson.
 void AppendTraceTotals(const Trace& trace, JsonWriter* writer);
 
 /// AppendTraceTotals as a standalone document.

@@ -11,7 +11,6 @@
 #include "search/bump_arena.h"
 #include "search/epoch_map.h"
 #include "search/mtree.h"
-#include "search/subtree_memo.h"
 #include "search/tau_heuristic.h"
 #include "util/logging.h"
 
@@ -61,20 +60,6 @@ struct Frame {
   int32_t mnode;  // current M-tree node
 };
 
-// A shared-memo capture in flight: the frame's key plus the stack/result
-// water marks that delimit its subtree (the traversal is LIFO, so the
-// subtree is exactly the work done until the stack shrinks back to the
-// mark, and its hits are exactly results[results_mark..]).
-struct PendingCapture {
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-  int32_t budget = 0;
-  uint32_t depth = 0;
-  int32_t base_mismatches = 0;
-  size_t stack_mark = 0;
-  size_t results_mark = 0;
-};
-
 }  // namespace
 
 // The buffers one Search call needs, owned across calls so capacity is
@@ -102,11 +87,7 @@ struct AlgorithmAScratch::Impl {
   std::optional<PatternLcp> pattern_lcp;
   MTree mtree;
   std::vector<Frame> stack;
-  std::vector<PendingCapture> captures;
   std::vector<int32_t> tau;
-  // Rolling per-depth suffix hashes for the shared memo (suffix_hashes[d]
-  // = hash of r[d..m)); filled only when a memo is attached.
-  std::vector<uint64_t> suffix_hashes;
 
   void Reset() {
     dag.clear();
@@ -120,9 +101,7 @@ struct AlgorithmAScratch::Impl {
     pattern_lcp.reset();
     mtree.Reset();
     stack.clear();
-    captures.clear();
     tau.clear();
-    suffix_hashes.clear();
   }
 };
 
@@ -138,8 +117,7 @@ class SearchContext {
  public:
   SearchContext(const FmIndex& index, AlgorithmAScratch::Impl& scratch,
                 const std::vector<DnaCode>& pattern, int32_t k,
-                const AlgorithmAOptions& options, SubtreeMemo* memo,
-                uint32_t memo_slot)
+                const AlgorithmAOptions& options)
       : index_(index),
         r_(pattern),
         m_(pattern.size()),
@@ -147,8 +125,6 @@ class SearchContext {
         reuse_(options.reuse),
         use_tau_(options.use_tau),
         use_prefix_table_(options.use_prefix_table),
-        memo_(memo),
-        memo_slot_(memo_slot),
         scratch_(scratch),
         dag_(scratch.dag),
         node_of_range_(scratch.node_of_range),
@@ -158,22 +134,8 @@ class SearchContext {
         chain_mms_(scratch.chain_mms),
         mtree_(scratch.mtree),
         stack_(scratch.stack),
-        captures_(scratch.captures),
-        tau_(scratch.tau),
-        suffix_hashes_(scratch.suffix_hashes) {
+        tau_(scratch.tau) {
     scratch.Reset();
-    if (memo_ != nullptr) {
-      memo_max_depth_ = memo_->options().max_capture_depth;
-      memo_min_suffix_ = memo_->options().min_suffix_len;
-      // One backward pass fills every depth's suffix hash, so per-frame
-      // memo probes hash O(1) state instead of an O(m) suffix.
-      suffix_hashes_.resize(m_ + 1);
-      suffix_hashes_[m_] = SubtreeMemo::kEmptySuffixHash;
-      for (size_t d = m_; d-- > 0;) {
-        suffix_hashes_[d] =
-            SubtreeMemo::ExtendSuffixHash(suffix_hashes_[d + 1], r_[d]);
-      }
-    }
   }
 
   void Run() {
@@ -192,25 +154,14 @@ class SearchContext {
       BWTK_SCOPED_TIMER(kPhaseTreeTraversal);
       BWTK_TRACE_SPAN(trace_, "tree_traversal");
       while (!stack_.empty()) {
-        if (memo_ != nullptr) FinalizeCaptures(stack_.size());
         Frame frame = stack_.back();
         stack_.pop_back();
-        if (memo_ != nullptr && MemoEligible(frame.depth)) {
-          if (TryMemo(frame)) continue;
-        }
         ProcessFrame(frame);
       }
-      if (memo_ != nullptr) FinalizeCaptures(0);
     }
     NormalizeOccurrences(&results_);
     stats_.mtree_nodes = mtree_.node_count();
     stats_.mtree_leaves = mtree_.leaf_count();
-#if BWTK_METRICS_ENABLED
-    if (memo_ != nullptr && memo_lookups_ > 0) {
-      BWTK_METRIC_COUNT2(kCounterMemoLookups, memo_lookups_, kCounterMemoHits,
-                         memo_hits_);
-    }
-#endif
   }
 
   std::vector<Occurrence>& results() { return results_; }
@@ -262,68 +213,6 @@ class SearchContext {
                        kCounterPrefixTableSkippedSteps, hits * q);
     BWTK_TRACE_PREFIX_HITS(trace_, hits);
     return true;
-  }
-
-  // --- Shared-memo hooks (search/subtree_memo.h) -------------------------
-  // Active only when a memo is attached; the enumeration loop pays one null
-  // check per frame otherwise.
-
-  bool MemoEligible(uint32_t depth) const {
-    return depth <= memo_max_depth_ && m_ - depth >= memo_min_suffix_;
-  }
-
-  // Probes the memo for this frame's subtree. On a hit, replays the stored
-  // results in frame coordinates and skips the subtree entirely. On a miss,
-  // registers a pending capture so the subtree publishes once explored.
-  bool TryMemo(const Frame& frame) {
-    const FmIndex::Range range = dag_[frame.node].range;
-    const int32_t budget = k_ - frame.mismatches;
-    const DnaCode* suffix = r_.data() + frame.depth;
-    const size_t suffix_len = m_ - frame.depth;
-    ++memo_lookups_;
-    bool advise_capture = false;
-    const SubtreeMemo::Entry* entry =
-        memo_->Lookup(memo_slot_, static_cast<uint32_t>(range.lo),
-                      static_cast<uint32_t>(range.hi), budget, suffix,
-                      suffix_len, suffix_hashes_[frame.depth],
-                      &advise_capture);
-    if (entry == nullptr) {
-      if (advise_capture) {
-        captures_.push_back({static_cast<uint32_t>(range.lo),
-                             static_cast<uint32_t>(range.hi), budget,
-                             frame.depth, frame.mismatches, stack_.size(),
-                             results_.size()});
-      }
-      return false;
-    }
-    ++memo_hits_;
-    for (const MemoOccurrence& occ : *entry) {
-      results_.push_back(
-          {static_cast<size_t>(occ.position_plus_depth) - frame.depth,
-           frame.mismatches + occ.mismatch_delta});
-    }
-    return true;
-  }
-
-  // Publishes every pending capture whose subtree is complete — i.e. whose
-  // stack mark has been reached again. Called with the current stack size
-  // before each pop (and with 0 after the loop), so captures finalize
-  // innermost-first.
-  void FinalizeCaptures(size_t stack_size) {
-    while (!captures_.empty() && stack_size <= captures_.back().stack_mark) {
-      const PendingCapture cap = captures_.back();
-      captures_.pop_back();
-      SubtreeMemo::Entry entry;
-      entry.reserve(results_.size() - cap.results_mark);
-      for (size_t i = cap.results_mark; i < results_.size(); ++i) {
-        entry.push_back(
-            {static_cast<uint64_t>(results_[i].position) + cap.depth,
-             results_[i].mismatches - cap.base_mismatches});
-      }
-      memo_->Publish(memo_slot_, cap.lo, cap.hi, cap.budget,
-                     r_.data() + cap.depth, m_ - cap.depth,
-                     suffix_hashes_[cap.depth], std::move(entry));
-    }
   }
 
   // Descends from one frame, following chains inline; pushes sibling
@@ -659,14 +548,6 @@ class SearchContext {
   const AlgorithmAOptions::Reuse reuse_;
   const bool use_tau_;
   const bool use_prefix_table_;
-  // The batch-scoped shared memo, or nullptr (the default) for the
-  // self-contained per-query search.
-  SubtreeMemo* const memo_;
-  const uint32_t memo_slot_;
-  uint32_t memo_max_depth_ = 0;
-  uint32_t memo_min_suffix_ = 0;
-  uint64_t memo_lookups_ = 0;
-  uint64_t memo_hits_ = 0;
   // The thread's active trace, hoisted once per query so per-node hooks are
   // a single null check (no TLS access in the enumeration loop).
   obs::Trace* const trace_ = BWTK_TRACE_ACTIVE();
@@ -681,9 +562,7 @@ class SearchContext {
   BumpPool<int32_t>& chain_mms_;
   MTree& mtree_;
   std::vector<Frame>& stack_;
-  std::vector<PendingCapture>& captures_;
   std::vector<int32_t>& tau_;
-  std::vector<uint64_t>& suffix_hashes_;
 
   std::vector<Occurrence> results_;
   SearchStats stats_;
@@ -701,17 +580,8 @@ std::vector<Occurrence> AlgorithmA::Search(const std::vector<DnaCode>& pattern,
 std::vector<Occurrence> AlgorithmA::Search(const std::vector<DnaCode>& pattern,
                                            int32_t k, SearchStats* stats,
                                            AlgorithmAScratch* scratch) const {
-  return Search(pattern, k, stats, scratch, nullptr, 0);
-}
-
-std::vector<Occurrence> AlgorithmA::Search(const std::vector<DnaCode>& pattern,
-                                           int32_t k, SearchStats* stats,
-                                           AlgorithmAScratch* scratch,
-                                           SubtreeMemo* memo,
-                                           uint32_t memo_slot) const {
   BWTK_SCOPED_HIST_TIMER(kHistQueryNanos);
-  SearchContext context(*index_, *scratch->impl_, pattern, k, options_, memo,
-                        memo_slot);
+  SearchContext context(*index_, *scratch->impl_, pattern, k, options_);
   context.Run();
   if (stats != nullptr) *stats = context.stats();
   // Rank work is flushed in bulk here instead of per ExtendAll call so the

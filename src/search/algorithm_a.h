@@ -48,8 +48,6 @@
 
 namespace bwtk {
 
-class SubtreeMemo;
-
 /// Reusable per-thread workspace for AlgorithmA::Search.
 ///
 /// One Search call needs an S-tree frame stack, the DAG memo with its range
@@ -134,17 +132,6 @@ class AlgorithmA {
   std::vector<Occurrence> Search(const std::vector<DnaCode>& pattern,
                                  int32_t k, SearchStats* stats,
                                  AlgorithmAScratch* scratch) const;
-
-  /// As above, additionally consulting (and feeding) a cross-query shared
-  /// subtree memo — see subtree_memo.h for the key scheme and correctness
-  /// argument. `memo` may be nullptr (plain scratch search); `memo_slot`
-  /// namespaces entries when one memo spans several indexes (shard slots).
-  /// Hits are byte-identical to an unmemoized search; SearchStats reflect
-  /// the reduced work (skipped subtrees are not re-counted).
-  std::vector<Occurrence> Search(const std::vector<DnaCode>& pattern,
-                                 int32_t k, SearchStats* stats,
-                                 AlgorithmAScratch* scratch, SubtreeMemo* memo,
-                                 uint32_t memo_slot) const;
 
   const FmIndex& index() const { return *index_; }
 

@@ -99,9 +99,6 @@ struct EngineBank::Impl {
   // cannot be vector-moved.
   std::vector<std::unique_ptr<BidirectionalSearch>> bidir_engines;
   AlgorithmAScratch scratch;  // reused across every Run, never shrinks
-  // Cross-query shared subtree memo, attached by the pool/session that owns
-  // it (kAlgorithmA only). Not owned.
-  SubtreeMemo* shared_memo = nullptr;
 };
 
 EngineBank::EngineBank(const std::vector<const FmIndex*>& indexes,
@@ -175,9 +172,8 @@ std::vector<Occurrence> EngineBank::RunWith(BatchEngine engine,
   }
   switch (Resolve(engine, query)) {
     case BatchEngine::kAlgorithmA:
-      hits = impl_->a_engines[index_slot].Search(
-          query.pattern, query.k, stats, &impl_->scratch,
-          impl_->shared_memo, static_cast<uint32_t>(index_slot));
+      hits = impl_->a_engines[index_slot].Search(query.pattern, query.k,
+                                                 stats, &impl_->scratch);
       break;
     case BatchEngine::kSTree:
       hits = impl_->stree_engines[index_slot].Search(query.pattern, query.k,
@@ -225,7 +221,8 @@ std::vector<Occurrence> EngineBank::RunWith(BatchEngine engine,
       BWTK_CHECK(false);
       break;
   }
-  if (impl_->options.deterministic_order) NormalizeOccurrences(&hits);
+  // Every engine returns its hits position-sorted (KErrorSearch's are
+  // unique per position, so the projection above keeps that order).
   return hits;
 }
 
@@ -233,13 +230,8 @@ std::vector<std::vector<Occurrence>> EngineBank::RunDictionary(
     const PatternSetTrie& trie, int32_t k, size_t index_slot,
     SearchStats* stats) {
   BWTK_CHECK(impl_->options.engine == BatchEngine::kDictionary);
-  // SearchAll's per-pattern lists are always position-sorted, so the
-  // deterministic_order contract holds with no extra pass.
+  // SearchAll's per-pattern lists are position-sorted, as Run's are.
   return impl_->dict_engines[index_slot].SearchAll(trie, k, stats);
-}
-
-void EngineBank::set_shared_memo(SubtreeMemo* memo) {
-  impl_->shared_memo = memo;
 }
 
 std::string_view EngineBank::engine_name() const {
@@ -294,11 +286,6 @@ struct BatchSearcher::Pool {
   };
   std::vector<DictGroup> dict_groups;
 
-  // Batch-scoped shared subtree memo (kAlgorithmA + shared_memo.enabled
-  // only). Cleared at every batch start — between generations the workers
-  // are idle, so the quiescence requirement of SubtreeMemo::Clear holds.
-  std::unique_ptr<SubtreeMemo> memo;
-
   // Exact-duplicate result cache, consulted per (query, index) task before
   // the engine runs. Either the caller-provided shared instance or a
   // private one; null when caching is off. Dictionary batches bypass it
@@ -321,7 +308,6 @@ struct BatchSearcher::Pool {
     // the same task-granular entry point the serving layer drives, so batch
     // and streamed execution cannot drift apart.
     EngineBank bank(indexes, options);
-    if (memo != nullptr) bank.set_shared_memo(memo.get());
     const std::string_view engine_name = bank.engine_name();
     for (;;) {
       uint64_t base = 0;
@@ -500,9 +486,6 @@ struct BatchSearcher::Pool {
   SearchStats RunTasks(const std::vector<BatchQuery>& batch,
                        std::vector<std::vector<Occurrence>>* slots) {
     BWTK_METRIC_COUNT(kCounterBatchBatches);
-    // Workers are idle between generations, so this is a quiescent point:
-    // the memo is batch-scoped and starts every batch empty.
-    if (memo != nullptr) memo->Clear();
     const bool dict = options.engine == BatchEngine::kDictionary;
     std::vector<DictGroup> groups;
     if (dict) groups = BuildDictGroups(batch);
@@ -558,12 +541,7 @@ BatchSearcher::BatchSearcher(std::vector<const FmIndex*> indexes,
     obs::TraceSinkOptions sink_options;
     sink_options.sample_rate = options.trace_sample_rate;
     sink_options.slow_trace_count = options.slow_trace_count;
-    sink_options.sample_seed = options.trace_seed;
     pool_->sink = std::make_unique<obs::TraceSink>(sink_options);
-  }
-  if (options.shared_memo.enabled &&
-      options.engine == BatchEngine::kAlgorithmA) {
-    pool_->memo = std::make_unique<SubtreeMemo>(options.shared_memo);
   }
   if (options.result_cache_instance != nullptr) {
     pool_->cache = options.result_cache_instance;
@@ -629,7 +607,7 @@ BatchResult BatchSearcher::Search(const std::vector<BatchQuery>& queries) {
       merged.insert(merged.end(), part.begin(), part.end());
       part.clear();
     }
-    if (pool_->options.deterministic_order) NormalizeOccurrences(&merged);
+    NormalizeOccurrences(&merged);
   }
   return result;
 }

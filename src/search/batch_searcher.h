@@ -47,7 +47,6 @@
 #include "search/result_cache.h"
 #include "search/searcher.h"
 #include "search/stree_search.h"
-#include "search/subtree_memo.h"
 #include "util/status.h"
 
 namespace bwtk {
@@ -125,13 +124,6 @@ struct BatchOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   int num_threads = 0;
 
-  /// When true (default), every per-query occurrence vector is guaranteed
-  /// byte-identical to what the serial engine returns (position-sorted),
-  /// regardless of which worker ran it. When false the engine may return
-  /// per-query hits in any order — a latitude multi-index groups use; the
-  /// current engines sort either way.
-  bool deterministic_order = true;
-
   /// ASCII batches only: when true, the first undecodable pattern fails the
   /// whole batch before any search runs. When false, bad patterns are
   /// skipped — they yield an empty occurrence list and are counted in
@@ -164,15 +156,6 @@ struct BatchOptions {
   /// one per shard in shard order). Not owned; must outlive the
   /// searcher/session.
   std::vector<const BiFmIndex*> bidir_indexes;
-
-  /// Batch-scoped shared subtree memo (BatchEngine::kAlgorithmA only; see
-  /// subtree_memo.h). When enabled, the pool owns one SubtreeMemo, clears
-  /// it at every batch start, and workers publish/consume completed
-  /// subtrees across queries of the batch. Hits are byte-identical with the
-  /// memo on or off; SearchStats reflect the reduced work, and with more
-  /// than one worker their exact values depend on publish timing (run
-  /// single-threaded for stats-reproducible memoized runs). Off by default.
-  SharedMemoOptions shared_memo = {};
 
   /// Exact-duplicate result cache (search/result_cache.h). When enabled the
   /// pool consults it per (pattern, k, engine, index version) before
@@ -209,9 +192,6 @@ struct BatchOptions {
   /// traces by wall time (see TraceSink). Effective only when tracing is on.
   size_t slow_trace_count = 8;
 
-  /// XORed into the sampling hash; change to draw a different sample.
-  uint64_t trace_seed = 0;
-
   /// When non-empty and tracing is on, every completed batch rewrites this
   /// file with the sink's cumulative Chrome-trace JSON (WriteTraceFile).
   /// Failures are logged as warnings, never fail the batch.
@@ -247,8 +227,8 @@ struct BatchFanoutResult {
 /// task-granular execution seam under both batch and streaming dispatch.
 /// A bank instantiates one engine per index for the configured
 /// BatchEngine family plus a reusable AlgorithmAScratch, and Run() executes
-/// a single (query, index) task exactly as the serial engine would
-/// (including deterministic-order normalization). BatchSearcher's pool
+/// a single (query, index) task exactly as the serial engine would.
+/// BatchSearcher's pool
 /// workers each own one bank and claim whole-batch task ranges from it;
 /// the serving layer (serve/session.h) gives each long-lived Session
 /// worker one bank and feeds it tickets one at a time. Engines are thin
@@ -267,8 +247,8 @@ class EngineBank {
   EngineBank& operator=(const EngineBank&) = delete;
 
   /// Runs `query` against index `index_slot` with the configured engine.
-  /// Returns the hit list (normalized when options.deterministic_order) and
-  /// fills `stats` with the engine's per-query counters. A query with
+  /// Returns the position-sorted hit list and fills `stats` with the
+  /// engine's per-query counters. A query with
   /// k < 0 (a decode-failed placeholder) returns empty without searching.
   /// Under BatchEngine::kDictionary this is the degenerate one-pattern
   /// form — a single-pattern trie answered by one joint descent — which is
@@ -301,11 +281,6 @@ class EngineBank {
   /// The engine a query actually runs under: `engine` itself, except kAuto
   /// which maps through AutoPickEngine(pattern length, k, bidir present).
   BatchEngine Resolve(BatchEngine engine, const BatchQuery& query) const;
-
-  /// Attaches (or detaches, with nullptr) the shared subtree memo consulted
-  /// by kAlgorithmA runs. The memo must outlive the bank or be detached
-  /// first; index_slot namespaces its entries per index.
-  void set_shared_memo(SubtreeMemo* memo);
 
   /// BatchEngineName(options.engine) — the stable trace/report label.
   std::string_view engine_name() const;

@@ -2,10 +2,8 @@
 //
 // Query streams reaching a serving tier are heavily skewed: popular reads,
 // probe patterns, and retried RPCs repeat the exact same (pattern, k) far
-// more often than a uniform model predicts. The subtree memo
-// (subtree_memo.h) already shares *partial* work across distinct queries;
-// this cache short-circuits *identical* queries outright — a hash lookup
-// instead of any search at all.
+// more often than a uniform model predicts. This cache short-circuits
+// *identical* queries outright — a hash lookup instead of any search at all.
 //
 // Keys are (engine, k, index_version, pattern bytes). The index version is a
 // content fingerprint (FmIndexVersion below), so a rebuilt or swapped index

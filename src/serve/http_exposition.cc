@@ -136,7 +136,6 @@ struct HttpExpositionServer::Impl {
     writer.Key("completed").Value(stats.completed);
     writer.Key("rejected_overloaded").Value(stats.rejected_overloaded);
     writer.Key("rejected_unavailable").Value(stats.rejected_unavailable);
-    writer.Key("memo_hits").Value(stats.memo_hits);
     writer.Key("result_cache_hits").Value(stats.result_cache_hits);
     writer.Key("result_cache_misses").Value(stats.result_cache_misses);
     writer.Key("shard_exact_shortcuts").Value(stats.shard_exact_shortcuts);

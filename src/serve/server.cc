@@ -118,7 +118,12 @@ struct Server::Impl {
   bool stopping = false;
   uint64_t next_conn_id = 1;  // anonymous accept-order ids (guarded by mu)
   std::vector<std::shared_ptr<Connection>> connections;  // open connections
-  std::vector<std::thread> reader_threads;  // joined at Stop
+  std::unordered_map<uint64_t, std::thread> readers;  // by connection id
+  // Readers whose connection has closed. A thread cannot join itself, so
+  // each closing reader parks its own thread here and joins the ones
+  // parked before it; Stop joins the rest. At most one exited reader (and
+  // its stack) thus outlives its connection.
+  std::vector<std::thread> finished_readers;
   std::thread acceptor;
   std::thread reaper;
   std::condition_variable reaper_cv;  // wakes the reaper early on Stop
@@ -312,8 +317,18 @@ struct Server::Impl {
       conn->closed = true;
       ::close(conn->fd);
     }
-    std::lock_guard<std::mutex> lock(mu);
-    std::erase(connections, conn);
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      std::erase(connections, conn);
+      exited.swap(finished_readers);
+      const auto self = readers.find(conn->id);
+      if (self != readers.end()) {  // absent once Stop has taken it over
+        finished_readers.push_back(std::move(self->second));
+        readers.erase(self);
+      }
+    }
+    for (std::thread& thread : exited) thread.join();
   }
 
   // --- Timeout reaper ----------------------------------------------------
@@ -380,10 +395,12 @@ struct Server::Impl {
       }
       conn->id = next_conn_id++;
       connections.push_back(conn);
-      reader_threads.emplace_back(
-          [this, conn = std::move(conn)]() mutable {
-            ReaderLoop(std::move(conn));
-          });
+      // Inserted under `mu`, which the reader needs before it can park
+      // itself, so the entry exists by the time the reader looks for it.
+      const uint64_t id = conn->id;
+      readers.emplace(id, std::thread([this, conn = std::move(conn)]() mutable {
+                        ReaderLoop(std::move(conn));
+                      }));
     }
   }
 };
@@ -452,12 +469,16 @@ void Server::Stop() {
   for (const auto& conn : to_sever) conn->Sever();
   if (impl.acceptor.joinable()) impl.acceptor.join();
   if (impl.reaper.joinable()) impl.reaper.join();
-  // Reader threads remove themselves from `connections` but their thread
-  // objects are joined here, after the acceptor can no longer add more.
+  // The acceptor can no longer add readers: join the parked ones and the
+  // ones still running (severed above, so they are on their way out).
   std::vector<std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(impl.mu);
-    readers.swap(impl.reader_threads);
+    readers.swap(impl.finished_readers);
+    for (auto& [id, thread] : impl.readers) {
+      readers.push_back(std::move(thread));
+    }
+    impl.readers.clear();
   }
   for (std::thread& thread : readers) thread.join();
 }

@@ -5,7 +5,9 @@
 // Threading model: one acceptor thread plus one reader thread per
 // connection — deliberately simple; the expensive work happens on the
 // Session's worker pool, and connections are expected to be few and
-// long-lived (a client multiplexes many requests over one socket).
+// long-lived (a client multiplexes many requests over one socket). A
+// closed connection's reader is joined by the next reader to close (or by
+// Stop), so connection churn does not accumulate exited thread stacks.
 // Responses are written by Session callbacks from worker threads, under a
 // per-connection write lock, so they stream back as queries finish —
 // out of order, matched by request_id.

@@ -62,12 +62,6 @@ struct Session::Impl {
   int num_threads = 0;
   std::unique_ptr<obs::TraceSink> sink;
 
-  // Stream-scoped shared subtree memo (kAlgorithmA + shared_memo.enabled).
-  // Never cleared — a serving stream has no batch boundary; the capacity
-  // bound in SharedMemoOptions is the backstop. Workers attach it to their
-  // banks at start-up.
-  std::unique_ptr<SubtreeMemo> memo;
-
   // Exact-duplicate result cache fronting Execute. `cache_version` folds
   // the per-index content fingerprints (and the index count) into the
   // single version the ticket-level key carries, so entries from a swapped
@@ -246,7 +240,6 @@ struct Session::Impl {
 
   void WorkerLoop(int tid) {
     EngineBank bank(indexes, options.batch);
-    if (memo != nullptr) bank.set_shared_memo(memo.get());
     for (;;) {
       Pending pending;
       {
@@ -351,12 +344,7 @@ struct Session::Impl {
       obs::TraceSinkOptions sink_options;
       sink_options.sample_rate = opts.batch.trace_sample_rate;
       sink_options.slow_trace_count = opts.batch.slow_trace_count;
-      sink_options.sample_seed = opts.batch.trace_seed;
       sink = std::make_unique<obs::TraceSink>(sink_options);
-    }
-    if (opts.batch.shared_memo.enabled &&
-        opts.batch.engine == BatchEngine::kAlgorithmA) {
-      memo = std::make_unique<SubtreeMemo>(opts.batch.shared_memo);
     }
     if (opts.batch.result_cache_instance != nullptr) {
       cache = opts.batch.result_cache_instance;
@@ -553,7 +541,6 @@ SessionStats Session::Stats() const {
   // the lock ordering trivial (never both held at once).
   if (BWTK_METRICS_ENABLED) {
     const obs::MetricsBlock block = obs::MetricsRegistry::Instance().Snapshot();
-    stats.memo_hits = block.counters[obs::kCounterMemoHits];
     stats.result_cache_hits = block.counters[obs::kCounterResultCacheHits];
     stats.result_cache_misses = block.counters[obs::kCounterResultCacheMisses];
     stats.shard_exact_shortcuts =

@@ -119,19 +119,15 @@ struct SessionOptions {
   size_t max_inflight = 4096;
 
   /// Engine selection and engine knobs, shared with BatchSearcher: engine,
-  /// algorithm_a/stree options, deterministic_order, and the tracing knobs
-  /// (trace_sample_rate, slow_trace_count, trace_seed, trace_out — the
-  /// trace file is rewritten on Drain/Shutdown rather than per batch).
-  /// num_threads/fail_fast inside are ignored; SessionOptions wins.
+  /// algorithm_a/stree options, and the tracing knobs (trace_sample_rate,
+  /// slow_trace_count, trace_out — the trace file is rewritten on
+  /// Drain/Shutdown rather than per batch). num_threads/fail_fast inside
+  /// are ignored; SessionOptions wins.
   ///
-  /// Two reuse tiers also live here. `batch.result_cache` /
+  /// The result cache also lives here. `batch.result_cache` /
   /// `batch.result_cache_instance` front the whole ticket path: an exact
   /// duplicate (pattern, k) against the same index version is served from
   /// the cache without touching a worker engine (QueryResult::cache_served).
-  /// `batch.shared_memo` (kAlgorithmA only) shares completed subtrees
-  /// across the Session's whole stream — unlike BatchSearcher there is no
-  /// batch boundary, so the memo is never cleared; its capacity bound is
-  /// the backstop.
   BatchOptions batch = {};
 };
 
@@ -139,9 +135,10 @@ struct SessionOptions {
 ///
 /// Wire note: this struct crosses the serve protocol as the STATS_RESULT
 /// payload, which is count-prefixed (serve/wire.h). Append new fields at the
-/// END only — the wire order is the declaration order below plus `accepting`
-/// last, and old clients zero-fill fields they don't know. The evolution
-/// rule is documented in docs/SERVING.md.
+/// END only — the wire order is the declaration order below, with reserved
+/// slot 8 (always 0) between rejected_unavailable and result_cache_hits and
+/// `accepting` last; old clients zero-fill fields they don't know. The
+/// evolution rule is documented in docs/SERVING.md.
 struct SessionStats {
   size_t queue_depth = 0;     ///< admitted, waiting for a worker
   size_t running = 0;         ///< currently executing on a worker
@@ -150,11 +147,9 @@ struct SessionStats {
   uint64_t completed = 0;     ///< tickets whose search finished (any status)
   uint64_t rejected_overloaded = 0;   ///< Submit failures: budget/queue full
   uint64_t rejected_unavailable = 0;  ///< Submit failures: draining/stopped
-  // Cross-query reuse tiers (process-wide registry totals, not per-Session:
-  // the memo is session-scoped but the result cache may be shared across
-  // Sessions — these mirror the obs counters so remote serve_tool clients
-  // can see them without scraping HTTP).
-  uint64_t memo_hits = 0;             ///< subtree-memo hits (kAlgorithmA L2)
+  // Process-wide registry totals, not per-Session (the result cache may be
+  // shared across Sessions): these mirror the obs counters so remote
+  // serve_tool clients can see them without scraping HTTP.
   uint64_t result_cache_hits = 0;     ///< exact-duplicate cache hits (L3)
   uint64_t result_cache_misses = 0;   ///< result-cache probes that missed
   uint64_t shard_exact_shortcuts = 0; ///< sharded k=0 owner-shard answers

@@ -212,7 +212,7 @@ void AppendStatsResultFrame(const SessionStats& stats, std::string* out) {
   PutInt(stats.completed, &payload);
   PutInt(stats.rejected_overloaded, &payload);
   PutInt(stats.rejected_unavailable, &payload);
-  PutInt(stats.memo_hits, &payload);
+  PutInt(static_cast<uint64_t>(0), &payload);  // slot 8: reserved, always 0
   PutInt(stats.result_cache_hits, &payload);
   PutInt(stats.result_cache_misses, &payload);
   PutInt(stats.shard_exact_shortcuts, &payload);
@@ -388,7 +388,7 @@ Result<SessionStats> ParseStatsResultPayload(std::string_view payload) {
   stats.completed = fields[4];
   stats.rejected_overloaded = fields[5];
   stats.rejected_unavailable = fields[6];
-  stats.memo_hits = fields[7];
+  // fields[7] is reserved slot 8: ignored (see wire.h).
   stats.result_cache_hits = fields[8];
   stats.result_cache_misses = fields[9];
   stats.shard_exact_shortcuts = fields[10];

@@ -182,9 +182,10 @@ void AppendResultFrame(const QueryResponse& response, std::string* out);
 void AppendStatsFrame(std::string* out);
 /// STATS_RESULT payload (count-prefixed since the telemetry revision):
 ///   u32 field_count, field_count × u64.
-/// Fields travel in SessionStats declaration order — queue_depth, running,
-/// inflight, submitted, completed, rejected_overloaded,
-/// rejected_unavailable, memo_hits, result_cache_hits, result_cache_misses,
+/// Fields travel in this order — queue_depth, running, inflight,
+/// submitted, completed, rejected_overloaded, rejected_unavailable,
+/// reserved (slot 8, formerly the subtree memo's hit count: servers send
+/// 0, parsers ignore it), result_cache_hits, result_cache_misses,
 /// shard_exact_shortcuts, accepting (0/1) — currently
 /// kStatsResultFieldCount of them. Evolution rule (normative text in
 /// docs/SERVING.md): new fields append at the END only; parsers zero-fill

@@ -302,87 +302,6 @@ TEST(BatchSearcherTest, IndexGroupSearchIsPerQueryUnion) {
   }
 }
 
-TEST(BatchSearcherTest, SharedMemoMatchesMemoOffByteIdentical) {
-  // The batch-scoped subtree memo must be invisible in the results: for a
-  // randomized workload spanning k = 0..3, hits with the memo on equal
-  // hits with it off, bit for bit, at every thread count.
-  Workload workload = MakeWorkload(20000, 80, 101);
-  const auto expected = SerialResults(workload.searcher, workload.queries);
-  for (const int threads : {1, 4}) {
-    BatchOptions options;
-    options.num_threads = threads;
-    options.shared_memo.enabled = true;
-    options.shared_memo.min_suffix_len = 6;
-    BatchSearcher batch(workload.searcher, options);
-    // The memo is batch-scoped (cleared between generations); round 2
-    // checks the clear leaves no stale entries behind.
-    for (int round = 0; round < 2; ++round) {
-      const BatchResult result = batch.Search(workload.queries);
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(result.occurrences[i], expected[i])
-            << "query " << i << " threads " << threads << " round " << round;
-      }
-    }
-  }
-}
-
-TEST(BatchSearcherTest, SharedMemoDuplicateHeavyCrossValidation) {
-  // Randomized cross-validation on the workload shape the memo targets:
-  // many queries sharing long suffixes (duplicates and near-duplicates).
-  Workload workload = MakeWorkload(15000, 20, 103);
-  std::vector<BatchQuery> queries;
-  Rng rng(107);
-  for (size_t i = 0; i < 150; ++i) {
-    BatchQuery query = workload.queries[rng.NextBounded(20)];
-    if (i % 3 == 0 && !query.pattern.empty()) {
-      // Near-duplicate: perturb the first symbol; the suffix — what the
-      // memo keys on — stays shared with the original.
-      query.pattern[0] = DnaCode((query.pattern[0] + 1) % kDnaAlphabetSize);
-    }
-    queries.push_back(std::move(query));
-  }
-  BatchOptions off;
-  off.num_threads = 4;
-  BatchSearcher memo_off(workload.searcher, off);
-  const BatchResult expected = memo_off.Search(queries);
-  BatchOptions on;
-  on.num_threads = 4;
-  on.shared_memo.enabled = true;
-  on.shared_memo.min_suffix_len = 6;
-  BatchSearcher memo_on(workload.searcher, on);
-  const BatchResult result = memo_on.Search(queries);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(result.occurrences[i], expected.occurrences[i]) << "query " << i;
-  }
-}
-
-TEST(BatchSearcherTest, SharedMemoEightWorkerStress) {
-  // ThreadSanitizer target: eight workers publishing to and reading from
-  // one SubtreeMemo at once, across repeated batches (Clear() between
-  // generations runs while the pool is quiescent).
-  Workload workload = MakeWorkload(30000, 60, 109);
-  std::vector<BatchQuery> queries;
-  for (int r = 0; r < 4; ++r) {
-    queries.insert(queries.end(), workload.queries.begin(),
-                   workload.queries.end());
-  }
-  const auto expected = SerialResults(workload.searcher, queries);
-  BatchOptions options;
-  options.num_threads = 8;
-  options.shared_memo.enabled = true;
-  options.shared_memo.min_suffix_len = 6;
-  options.shared_memo.capacity_bytes = size_t{1} << 20;  // force rejects too
-  BatchSearcher batch(workload.searcher, options);
-  for (int round = 0; round < 2; ++round) {
-    const BatchResult result = batch.Search(queries);
-    size_t mismatched = 0;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      if (result.occurrences[i] != expected[i]) ++mismatched;
-    }
-    EXPECT_EQ(mismatched, 0u) << "round " << round;
-  }
-}
-
 TEST(BatchSearcherTest, StressManySmallQueriesSharedIndex) {
   // ThreadSanitizer target: a large batch of small queries over one shared
   // index with more workers than cores, repeated so workers cross batch

@@ -147,21 +147,23 @@ TEST(JsonWriterTest, EscapesStrings) {
 }
 
 TEST(JsonParserTest, ParsesFlatObject) {
-  const auto parsed =
-      obs::ParseFlatUint64Object(" { \"x\" : 12 , \"y\" : 0 } ");
+  const auto parsed = obs::SearchStatsFromJson(
+      " { \"stree_nodes\" : 12 , \"extend_calls\" : 0 } ");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ((*parsed)[0], (std::pair<std::string, uint64_t>{"x", 12}));
-  EXPECT_EQ((*parsed)[1], (std::pair<std::string, uint64_t>{"y", 0}));
-  EXPECT_TRUE(obs::ParseFlatUint64Object("{}")->empty());
+  EXPECT_EQ(parsed->stree_nodes, 12u);
+  EXPECT_EQ(parsed->extend_calls, 0u);
 }
 
 TEST(JsonParserTest, RejectsMalformedInput) {
+  // Each input is malformed in itself, not merely unknown: the one key is
+  // a real SearchStats field.
   for (const char* bad :
-       {"", "{", "{\"x\"}", "{\"x\": -1}", "{\"x\": 1.5}", "{\"x\": \"s\"}",
-        "{\"x\": {}}", "{\"x\": 1} trailing", "[1]",
-        "{\"x\": 99999999999999999999999}"}) {
-    EXPECT_FALSE(obs::ParseFlatUint64Object(bad).ok()) << bad;
+       {"", "{", "{\"stree_nodes\"}", "{\"stree_nodes\": -1}",
+        "{\"stree_nodes\": 1.5}", "{\"stree_nodes\": \"s\"}",
+        "{\"stree_nodes\": {}}", "{\"stree_nodes\": 1} trailing", "[1]",
+        "{\"stree_nodes\": 99999999999999999999999}", "12", "null",
+        "{\"stree_nodes\": true}", "{\"stree_nodes\": [1]}"}) {
+    EXPECT_FALSE(obs::SearchStatsFromJson(bad).ok()) << bad;
   }
 }
 

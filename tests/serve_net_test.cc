@@ -1,12 +1,13 @@
 // Loopback TCP tests for the serving front-end: byte-identity of served
 // results against the direct engine, pipelined out-of-order completion,
-// connection-level admission control, protocol-violation handling, and the
-// stats round-trip. Servers bind 127.0.0.1 port 0 (kernel-assigned), so
-// these run anywhere without port coordination.
+// connection-level admission control, protocol-violation handling, the
+// stats round-trip, and connection churn. Servers bind 127.0.0.1 port 0
+// (kernel-assigned), so these run anywhere without port coordination.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -361,6 +363,48 @@ TEST(ServeNetTest, ServerStopWhileClientsConnectedIsClean) {
   }
   // The session itself is untouched by the front-end stopping.
   EXPECT_TRUE(session.Submit(BatchQuery{{0, 1, 2, 3}, 1}).ok());
+}
+
+// This process's VmSize in KiB (0 when /proc is unreadable).
+size_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServeNetTest, ConnectionChurnJoinsClosedReaders) {
+  // Each connection runs on its own reader thread. An exited thread that
+  // nobody joins keeps its stack (8 MiB by default) mapped, so 64
+  // connect/close cycles would grow the address space by over 512 MiB.
+  // The thread count cannot show it — an exited thread leaves /proc's
+  // Threads: line — so watch VmSize. One malloc arena keeps per-thread
+  // arenas out of the figure.
+  mallopt(M_ARENA_MAX, 1);
+  NetFixture fixture = MakeNetFixture(8000, 1, 229);
+  Session session(&fixture.index, {.num_threads = 1});
+  Server server(&session);
+  ASSERT_TRUE(server.Start().ok());
+  const size_t before_kib = VmSizeKiB();
+  ASSERT_GT(before_kib, 0u);
+  for (int i = 0; i < 64; ++i) {
+    auto client = Client::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->Query(fixture.patterns[0], 1).ok());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.num_connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.num_connections(), 0u);
+  const size_t after_kib = VmSizeKiB();
+  EXPECT_LT(after_kib, before_kib + 64 * 1024)
+      << "VmSize grew by " << (after_kib - before_kib) / 1024
+      << " MiB over 64 connections";
 }
 
 TEST(ServeNetTest, PerQueryEngineOverrideOverTcp) {

@@ -375,7 +375,7 @@ TEST_F(TraceEngineTest, BatchSearcherSamplesEverythingAtRateOne) {
 
 // --- Export ---------------------------------------------------------------
 
-TEST(TraceExportTest, TotalsRoundTripThroughFlatParser) {
+TEST(TraceExportTest, TotalsRoundTripThroughJsonParser) {
   obs::Trace trace = MakeTrace(42, 12345);
   trace.k = 3;
   trace.pattern_length = 50;
@@ -388,9 +388,14 @@ TEST(TraceExportTest, TotalsRoundTripThroughFlatParser) {
   trace.CloseSpan(trace.OpenSpan("b"));
 
   const std::string json = obs::TraceTotalsToJson(trace);
-  auto parsed = obs::ParseFlatUint64Object(json);
+  auto parsed = obs::ParseJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  std::map<std::string, uint64_t> fields(parsed->begin(), parsed->end());
+  ASSERT_EQ(parsed->kind, obs::JsonValue::Kind::kObject);
+  std::map<std::string, uint64_t> fields;
+  for (const auto& [key, value] : parsed->members) {
+    ASSERT_TRUE(value.is_uint) << key;  // flat: unsigned integers only
+    fields[key] = value.uint_value;
+  }
   EXPECT_EQ(fields.at("trace_id"), 42u);
   EXPECT_EQ(fields.at("k"), 3u);
   EXPECT_EQ(fields.at("pattern_length"), 50u);

@@ -61,13 +61,12 @@ cover at least 2 distinct read lengths and at least 3 distinct k values.
 bench_reuse: checks the reuse-tier schema — a 'workload' object, a
 'cross_validation' object whose 'byte_identical' must be true (the bench
 aborts before writing a report otherwise, so a false value means the file
-was hand-edited), and 'runs' whose engine is one of the six reuse configs
-(batch_off, batch_memo, batch_cache, batch_memo_cache, sharded_off,
-sharded_cache). Timed reuse runs are single-threaded by design (memoized
-SearchStats are publish-timing-dependent across workers), so every run
-must declare threads == 1; total_hits for one (genome, k) cell must agree
-across all six configs, and all six must appear. The 'aggregate' object
-must carry the three headline ratios.
+was hand-edited), and 'runs' whose engine is one of the four reuse configs
+(batch_off, batch_cache, sharded_off, sharded_cache). Timed reuse runs are
+single-threaded by design (a row times the reuse tier, not the pool), so
+every run must declare threads == 1; total_hits for one (genome, k) cell
+must agree across all four configs, and all four must appear. The
+'aggregate' object must carry the three headline ratios.
 
 Exits non-zero listing every violation found.
 
@@ -147,9 +146,7 @@ SERVE_RUN_FIELDS = {
 
 REUSE_ENGINES = (
     "batch_off",
-    "batch_memo",
     "batch_cache",
-    "batch_memo_cache",
     "sharded_off",
     "sharded_cache",
 )
@@ -157,7 +154,7 @@ REUSE_ENGINES = (
 # A bench_reuse run: one (workload, k, reuse-configuration) cell. The
 # 'engine' field carries the reuse configuration so the bench_diff match
 # key (genome, k, engine, threads) stays unique per cell; 'threads' is 1
-# by design (memoized multi-thread runs have timing-dependent stats).
+# by design (a row times the reuse tier, not the pool).
 REUSE_RUN_FIELDS = {
     "genome": str,
     "genome_length": UINT,
@@ -174,9 +171,6 @@ REUSE_RUN_FIELDS = {
     "cache_hits": UINT,
     "cache_misses": UINT,
     "cache_evictions": UINT,
-    "memo_lookups": UINT,
-    "memo_hits": UINT,
-    "memo_publishes": UINT,
     "stats": dict,
 }
 
@@ -458,7 +452,7 @@ class Validator:
                     )
 
         # total_hits for a given (genome, k) must agree across every reuse
-        # configuration: memo, cache, and sharded dispatch are all
+        # configuration: cache and sharded dispatch are both
         # byte-identity contracts, so a divergence means the answer changed.
         hits_by_cell = {}
         engines = set()
@@ -479,7 +473,7 @@ class Validator:
                 self.error(
                     where,
                     "'threads' must be 1 (timed reuse runs are "
-                    "single-threaded for stats determinism)",
+                    "single-threaded by design)",
                 )
             if run["wall_seconds"] < 0:
                 self.error(where, "'wall_seconds' must be non-negative")

@@ -48,9 +48,8 @@ LINE_RE = re.compile(r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
 VALID_TYPES = ("counter", "gauge", "histogram")
 WINDOWS = ("10s", "1m", "5m")
 SESSION_MONOTONE = ("submitted", "completed", "rejected_overloaded",
-                    "rejected_unavailable", "memo_hits",
-                    "result_cache_hits", "result_cache_misses",
-                    "shard_exact_shortcuts")
+                    "rejected_unavailable", "result_cache_hits",
+                    "result_cache_misses", "shard_exact_shortcuts")
 
 
 class Violations:
