@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <future>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -45,19 +46,27 @@ BiFmIndex::BiFmIndex(FmIndex fwd, FmIndex rev)
 
 Result<BiFmIndex> BiFmIndex::Build(const std::vector<DnaCode>& text,
                                    const Options& options) {
-  BWTK_ASSIGN_OR_RETURN(FmIndex fwd, FmIndex::Build(text, options));
-  std::vector<DnaCode> reversed(text.rbegin(), text.rend());
-  BWTK_ASSIGN_OR_RETURN(FmIndex rev, FmIndex::Build(reversed, options));
-  return BiFmIndex(std::move(fwd), std::move(rev));
+  // The reverse half indexes `text` as given (its BWT is that of text$) on a
+  // second thread while this one builds the forward half. The future joins
+  // that thread on every path out, and get() rethrows what it threw.
+  std::future<Result<FmIndex>> rev_build =
+      std::async(std::launch::async,
+                 [&] { return FmIndex::BuildOver(text, options); });
+  Result<FmIndex> fwd = FmIndex::Build(text, options);
+  Result<FmIndex> rev = rev_build.get();
+  if (!fwd.ok()) return fwd.status();
+  if (!rev.ok()) return rev.status();
+  return BiFmIndex(std::move(fwd).value(), std::move(rev).value());
 }
 
 Result<BiFmIndex> BiFmIndex::FromForward(FmIndex forward) {
-  // The forward half's BWT is the BWT of reverse(text)$; inverting it
-  // yields reverse(text), which is exactly the build input of the reverse
-  // half.
-  std::vector<DnaCode> reversed = InvertBwt(forward.bwt());
+  // The forward half's BWT is that of reverse(text)$: inverting it yields
+  // reverse(text), and reversing that in place gives the text the reverse
+  // half indexes.
+  std::vector<DnaCode> text = InvertBwt(forward.bwt());
+  std::reverse(text.begin(), text.end());
   BWTK_ASSIGN_OR_RETURN(FmIndex rev,
-                        FmIndex::Build(reversed, forward.options()));
+                        FmIndex::BuildOver(text, forward.options()));
   return BiFmIndex(std::move(forward), std::move(rev));
 }
 

@@ -75,8 +75,9 @@ class BiFmIndex {
     bool operator==(const BiRange&) const = default;
   };
 
-  /// Indexes `text` and reverse(text). Roughly 2x the build time and memory
-  /// of a single FmIndex.
+  /// Indexes `text` and reverse(text). The two halves are built at once on
+  /// two threads (this one and one it starts and joins), so the wall time
+  /// is about that of one FmIndex::Build and the memory that of two.
   static Result<BiFmIndex> Build(const std::vector<DnaCode>& text,
                                  const Options& options);
   static Result<BiFmIndex> Build(const std::vector<DnaCode>& text) {

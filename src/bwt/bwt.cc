@@ -1,6 +1,7 @@
 #include "bwt/bwt.h"
 
 #include <array>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -9,17 +10,18 @@ namespace bwtk {
 Bwt BwtFromSuffixArray(const std::vector<DnaCode>& text,
                        const std::vector<SaIndex>& sa) {
   BWTK_CHECK_EQ(sa.size(), text.size() + 1);
+  // Packed straight from the SA; the sentinel row keeps a 0 placeholder.
   Bwt bwt;
-  std::vector<DnaCode> codes(sa.size());
+  std::vector<uint64_t> words((sa.size() + 31) / 32, 0);
   for (size_t i = 0; i < sa.size(); ++i) {
     if (sa[i] == 0) {
       bwt.sentinel_row = i;
-      codes[i] = 0;  // placeholder; row is logically '$'
     } else {
-      codes[i] = text[static_cast<size_t>(sa[i]) - 1];
+      const DnaCode c = text[static_cast<size_t>(sa[i]) - 1];
+      words[i >> 5] |= static_cast<uint64_t>(c & 3) << ((i & 31) * 2);
     }
   }
-  bwt.codes = PackedSequence(codes);
+  bwt.codes = PackedSequence(std::move(words), sa.size());
   return bwt;
 }
 
@@ -49,8 +51,8 @@ std::vector<DnaCode> InvertBwt(const Bwt& bwt) {
   }
 
   // occ_before[i] = rank of L[i] among equal symbols above row i.
-  std::vector<size_t> occ_before(rows);
-  std::array<size_t, kDnaAlphabetSize> running{};
+  std::vector<SaIndex> occ_before(rows);
+  std::array<SaIndex, kDnaAlphabetSize> running{};
   for (size_t i = 0; i < rows; ++i) {
     if (i == bwt.sentinel_row) continue;
     const DnaCode c = bwt.codes.at(i);

@@ -10,6 +10,12 @@ namespace bwtk {
 
 Result<FmIndex> FmIndex::Build(const std::vector<DnaCode>& text,
                                const Options& options) {
+  // Index the reversed text so search steps consume the pattern in order.
+  return BuildOver(std::vector<DnaCode>(text.rbegin(), text.rend()), options);
+}
+
+Result<FmIndex> FmIndex::BuildOver(const std::vector<DnaCode>& sequence,
+                                   const Options& options) {
   BWTK_SCOPED_TIMER(kPhaseIndexBuild);
   if (options.sa_sample_rate == 0) {
     return Status::InvalidArgument("sa_sample_rate must be positive");
@@ -21,13 +27,11 @@ Result<FmIndex> FmIndex::Build(const std::vector<DnaCode>& text,
         std::to_string(options.prefix_table_q));
   }
   FmIndex index;
-  index.n_ = text.size();
+  index.n_ = sequence.size();
   index.options_ = options;
 
-  // Index the reversed text so search steps consume the pattern in order.
-  std::vector<DnaCode> reversed(text.rbegin(), text.rend());
-  BWTK_ASSIGN_OR_RETURN(auto sa, BuildSuffixArrayDna(reversed));
-  index.bwt_ = std::make_unique<Bwt>(BwtFromSuffixArray(reversed, sa));
+  BWTK_ASSIGN_OR_RETURN(auto sa, BuildSuffixArrayDna(sequence));
+  index.bwt_ = std::make_unique<Bwt>(BwtFromSuffixArray(sequence, sa));
 
   // Sample the suffix array before discarding it.
   index.sampled_rows_ = BitVectorRank(sa.size());

@@ -165,8 +165,15 @@ class FmIndex {
 
  private:
   friend class FmIndexSerializer;
+  friend class BiFmIndex;
 
   FmIndex() = default;
+
+  /// Build() without the reversal: the BWT is that of sequence$, so this
+  /// equals Build(reverse(sequence)). BiFmIndex builds its reverse half
+  /// from the text this way.
+  static Result<FmIndex> BuildOver(const std::vector<DnaCode>& sequence,
+                                   const Options& options);
 
   /// LF mapping: row of the suffix one position to the left.
   SaIndex LfStep(SaIndex row) const;

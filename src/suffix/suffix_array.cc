@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "util/logging.h"
 
@@ -13,198 +14,199 @@ constexpr SaIndex kEmpty = -1;
 
 // ---------------------------------------------------------------------------
 // SA-IS (Nong, Zhang & Chan, "Two Efficient Algorithms for Linear Time Suffix
-// Array Construction"). Operates on a text whose final symbol is the unique
-// minimum (value 0); recursion reduces to the sorted order of LMS substrings.
+// Array Construction") in the layout of the paper's reference code. Besides
+// the output array, each recursion level holds one type bit per symbol, and
+// a bucket array while it is not recursing: the LMS-substring names and the
+// reduced string live in the half of SA that the sorted LMS substrings leave
+// unused, and the reduced problem is sorted into the front of the same
+// array.
 // ---------------------------------------------------------------------------
 
-// counts[c] = multiplicity of symbol c.
-void CountSymbols(const uint32_t* t, size_t n, uint32_t alphabet,
-                  std::vector<SaIndex>* counts) {
-  counts->assign(alphabet, 0);
-  for (size_t i = 0; i < n; ++i) ++(*counts)[t[i]];
-}
+// One bit per suffix, set when the suffix is S-type (smaller than the suffix
+// one position to its right).
+class TypeBits {
+ public:
+  explicit TypeBits(SaIndex n) : words_(static_cast<size_t>(n) / 64 + 1) {}
 
-// buckets[c] = first slot of bucket c (ends=false) or one past its last slot
-// (ends=true).
-void ComputeBuckets(const std::vector<SaIndex>& counts,
-                    std::vector<SaIndex>* buckets, bool ends) {
-  buckets->resize(counts.size());
+  bool IsS(SaIndex i) const {
+    return (words_[static_cast<size_t>(i) >> 6] >> (i & 63)) & 1;
+  }
+  void SetS(SaIndex i) {
+    words_[static_cast<size_t>(i) >> 6] |= uint64_t{1} << (i & 63);
+  }
+  // Leftmost-S: an S-type suffix whose left neighbour is L-type.
+  bool IsLms(SaIndex i) const { return i > 0 && IsS(i) && !IsS(i - 1); }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
+// (*bkt)[c] = first slot of bucket c, or one past its last slot when `ends`.
+// Recounts the text each time so a level holds one bucket array, not two.
+template <typename Symbol>
+void GetBuckets(const Symbol* s, SaIndex n, bool ends,
+                std::vector<SaIndex>* bkt) {
+  std::fill(bkt->begin(), bkt->end(), 0);
+  for (SaIndex i = 0; i < n; ++i) ++(*bkt)[s[i]];
   SaIndex sum = 0;
-  for (size_t c = 0; c < counts.size(); ++c) {
-    sum += counts[c];
-    (*buckets)[c] = ends ? sum : sum - counts[c];
+  for (SaIndex& b : *bkt) {
+    sum += b;
+    b = ends ? sum : sum - b;
   }
 }
 
-inline bool IsLms(const std::vector<bool>& is_s, size_t i) {
-  return i > 0 && is_s[i] && !is_s[i - 1];
-}
-
-// Given LMS suffixes already placed in `sa`, induce the order of all L-type
+// Given LMS suffixes at their bucket ends, induces the order of all L-type
 // then all S-type suffixes.
-void InduceSort(const uint32_t* t, size_t n, const std::vector<bool>& is_s,
-                const std::vector<SaIndex>& counts, std::vector<SaIndex>* sa) {
-  std::vector<SaIndex> buckets;
-  // Left-to-right pass places L-type suffixes at bucket fronts.
-  ComputeBuckets(counts, &buckets, /*ends=*/false);
-  for (size_t i = 0; i < n; ++i) {
-    const SaIndex j = (*sa)[i];
-    if (j > 0 && !is_s[j - 1]) {
-      (*sa)[buckets[t[j - 1]]++] = j - 1;
-    }
+template <typename Symbol>
+void InduceSort(const Symbol* s, SaIndex n, const TypeBits& types,
+                std::vector<SaIndex>* bkt, SaIndex* sa) {
+  GetBuckets(s, n, /*ends=*/false, bkt);
+  for (SaIndex i = 0; i < n; ++i) {
+    const SaIndex j = sa[i] - 1;
+    if (j >= 0 && !types.IsS(j)) sa[(*bkt)[s[j]]++] = j;
   }
-  // Right-to-left pass places S-type suffixes at bucket ends.
-  ComputeBuckets(counts, &buckets, /*ends=*/true);
-  for (size_t i = n; i-- > 0;) {
-    const SaIndex j = (*sa)[i];
-    if (j > 0 && is_s[j - 1]) {
-      (*sa)[--buckets[t[j - 1]]] = j - 1;
-    }
+  GetBuckets(s, n, /*ends=*/true, bkt);
+  for (SaIndex i = n; i-- > 0;) {
+    const SaIndex j = sa[i] - 1;
+    if (j >= 0 && types.IsS(j)) sa[--(*bkt)[s[j]]] = j;
   }
 }
 
-// Core recursion. `t[n-1]` must be the unique minimal symbol (0).
-void SaIsImpl(const uint32_t* t, size_t n, uint32_t alphabet,
-              std::vector<SaIndex>* sa) {
-  sa->assign(n, kEmpty);
-  if (n == 0) return;
+// Sorts the suffixes of s[0, n) into sa[0, n). Requires n >= 1, every symbol
+// below `alphabet`, and s[n-1] == 0 as the unique smallest symbol.
+template <typename Symbol>
+void SaIs(const Symbol* s, SaIndex n, size_t alphabet, SaIndex* sa) {
   if (n == 1) {
-    (*sa)[0] = 0;
+    sa[0] = 0;
     return;
   }
-
-  // Classify suffixes: S-type if smaller than its right neighbour suffix.
-  std::vector<bool> is_s(n);
-  is_s[n - 1] = true;
-  for (size_t i = n - 1; i-- > 0;) {
-    is_s[i] = t[i] < t[i + 1] || (t[i] == t[i + 1] && is_s[i + 1]);
+  TypeBits types(n);
+  types.SetS(n - 1);  // the sentinel; s[n-2] > s[n-1] makes n-2 L-type
+  bool is_s = false;  // type of suffix i + 1 on entry to each step
+  for (SaIndex i = n - 2; i-- > 0;) {
+    is_s = s[i] < s[i + 1] || (s[i] == s[i + 1] && is_s);
+    if (is_s) types.SetS(i);
   }
 
-  std::vector<SaIndex> counts;
-  CountSymbols(t, n, alphabet, &counts);
-
-  // Stage 1: approximate — drop LMS suffixes into bucket ends in text order,
-  // then induce. This sorts the LMS *substrings*.
+  // Stage 1: drop the LMS suffixes into their bucket ends in text order and
+  // induce, which sorts the LMS *substrings*.
   {
-    std::vector<SaIndex> buckets;
-    ComputeBuckets(counts, &buckets, /*ends=*/true);
-    for (size_t i = 1; i < n; ++i) {
-      if (IsLms(is_s, i)) (*sa)[--buckets[t[i]]] = static_cast<SaIndex>(i);
+    std::vector<SaIndex> bkt(alphabet);
+    GetBuckets(s, n, /*ends=*/true, &bkt);
+    std::fill(sa, sa + n, kEmpty);
+    for (SaIndex i = 1; i < n; ++i) {
+      if (types.IsLms(i)) sa[--bkt[s[i]]] = i;
     }
+    InduceSort(s, n, types, &bkt, sa);
   }
-  InduceSort(t, n, is_s, counts, sa);
 
-  // Collect LMS positions in the order they now appear in `sa`.
-  std::vector<SaIndex> lms_sorted;
-  for (size_t i = 0; i < n; ++i) {
-    const SaIndex j = (*sa)[i];
-    if (j != kEmpty && IsLms(is_s, static_cast<size_t>(j))) {
-      lms_sorted.push_back(j);
-    }
+  // Compact the sorted LMS substrings into sa[0, n1). LMS positions are
+  // never adjacent, so n1 <= n / 2.
+  SaIndex n1 = 0;
+  for (SaIndex i = 0; i < n; ++i) {
+    if (types.IsLms(sa[i])) sa[n1++] = sa[i];
   }
-  const size_t num_lms = lms_sorted.size();
 
-  // Name the LMS substrings. Two LMS substrings are equal iff they have the
-  // same length and characters (their interior types are then forced).
-  std::vector<SaIndex> name_of(n, kEmpty);
-  SaIndex next_name = 0;
+  // Name the LMS substrings: one name per run of equal substrings (same
+  // symbols and types up to and including the next LMS position). The name
+  // of the substring at pos goes to sa[n1 + pos / 2]; the slots are distinct
+  // because LMS positions are never adjacent, and below n because
+  // n1 + (n - 1) / 2 <= n - 1.
+  std::fill(sa + n1, sa + n, kEmpty);
+  SaIndex names = 0;
   SaIndex prev = kEmpty;
-  auto lms_end = [&](size_t start) {
-    size_t j = start + 1;
-    while (j < n && !IsLms(is_s, j)) ++j;
-    return j;  // position of next LMS (or n); substring is [start, j]
-  };
-  for (const SaIndex pos : lms_sorted) {
-    bool same = false;
-    if (prev != kEmpty) {
-      const size_t end_a = lms_end(static_cast<size_t>(prev));
-      const size_t end_b = lms_end(static_cast<size_t>(pos));
-      if (end_a - static_cast<size_t>(prev) ==
-          end_b - static_cast<size_t>(pos)) {
-        same = true;
-        const size_t len = end_b - static_cast<size_t>(pos);
-        for (size_t d = 0; d <= len; ++d) {
-          const size_t a = static_cast<size_t>(prev) + d;
-          const size_t b = static_cast<size_t>(pos) + d;
-          if (a >= n || b >= n || t[a] != t[b]) {
-            same = false;
-            break;
-          }
-        }
+  for (SaIndex i = 0; i < n1; ++i) {
+    const SaIndex pos = sa[i];
+    bool diff = prev == kEmpty;
+    // Types agree up to d, so both substrings end at the same d; the
+    // sentinel is unique and LMS, so the scan stays inside the text.
+    for (SaIndex d = 0; !diff; ++d) {
+      if (s[pos + d] != s[prev + d] ||
+          types.IsS(pos + d) != types.IsS(prev + d)) {
+        diff = true;
+      } else if (d > 0 && types.IsLms(pos + d)) {
+        break;
       }
     }
-    if (!same) ++next_name;
-    name_of[pos] = next_name - 1;
-    prev = pos;
-  }
-
-  // Reduced problem: names of LMS substrings in text order.
-  std::vector<SaIndex> lms_positions;
-  lms_positions.reserve(num_lms);
-  std::vector<uint32_t> reduced;
-  reduced.reserve(num_lms);
-  for (size_t i = 1; i < n; ++i) {
-    if (IsLms(is_s, i)) {
-      lms_positions.push_back(static_cast<SaIndex>(i));
-      reduced.push_back(static_cast<uint32_t>(name_of[i]));
+    if (diff) {
+      ++names;
+      prev = pos;
     }
+    sa[n1 + pos / 2] = names - 1;
+  }
+  // Gather the names, in text order, into the reduced string s1 at the back.
+  for (SaIndex i = n - 1, j = n - 1; i >= n1; --i) {
+    if (sa[i] >= 0) sa[j--] = sa[i];
   }
 
-  // Exact order of LMS suffixes: direct if names are unique, else recurse.
-  std::vector<SaIndex> lms_order(num_lms);
-  if (static_cast<size_t>(next_name) == num_lms) {
-    for (size_t i = 0; i < num_lms; ++i) lms_order[reduced[i]] = i;
+  // Stage 2: sort the reduced string into sa1 = sa[0, n1). Its last symbol
+  // names the sentinel's substring, 0 and unique, so it meets SaIs's
+  // precondition; it recurses only while names repeat.
+  SaIndex* sa1 = sa;
+  SaIndex* s1 = sa + n - n1;
+  if (names < n1) {
+    SaIs<SaIndex>(s1, n1, static_cast<size_t>(names), sa1);
   } else {
-    std::vector<SaIndex> sub_sa;
-    SaIsImpl(reduced.data(), num_lms, static_cast<uint32_t>(next_name),
-             &sub_sa);
-    lms_order = std::move(sub_sa);
+    for (SaIndex i = 0; i < n1; ++i) sa1[s1[i]] = i;
   }
 
-  // Stage 2: exact — place LMS suffixes in their true order, then induce.
-  sa->assign(n, kEmpty);
-  {
-    std::vector<SaIndex> buckets;
-    ComputeBuckets(counts, &buckets, /*ends=*/true);
-    for (size_t i = num_lms; i-- > 0;) {
-      const SaIndex pos = lms_positions[lms_order[i]];
-      (*sa)[--buckets[t[pos]]] = pos;
-    }
+  // Stage 3: map reduced ranks back to LMS positions (s1 is reused to hold
+  // the positions in text order), seed the bucket ends with the LMS
+  // suffixes in sorted order, and induce the full order.
+  for (SaIndex i = 1, j = 0; i < n; ++i) {
+    if (types.IsLms(i)) s1[j++] = i;
   }
-  InduceSort(t, n, is_s, counts, sa);
+  for (SaIndex i = 0; i < n1; ++i) sa1[i] = s1[sa1[i]];
+  std::fill(sa + n1, sa + n, kEmpty);
+  std::vector<SaIndex> bkt(alphabet);
+  GetBuckets(s, n, /*ends=*/true, &bkt);
+  // Descending, each suffix moves to a slot at or right of its own, so no
+  // unmoved entry is overwritten.
+  for (SaIndex i = n1; i-- > 0;) {
+    const SaIndex j = sa[i];
+    sa[i] = kEmpty;
+    sa[--bkt[s[j]]] = j;
+  }
+  InduceSort(s, n, types, &bkt, sa);
+}
+
+// Validates `text`, copies it shifted up by one with a 0 sentinel appended
+// (so SaIs's precondition holds), and sorts that copy: the result ranks the
+// suffixes of text# with SA[0] == text.size().
+template <typename Symbol>
+Result<std::vector<SaIndex>> SortShifted(const std::vector<Symbol>& text,
+                                         uint32_t alphabet_size) {
+  if (text.size() >=
+      static_cast<size_t>(std::numeric_limits<SaIndex>::max()) - 1) {
+    return Status::InvalidArgument("text too long for 32-bit suffix array");
+  }
+  std::vector<Symbol> shifted(text.size() + 1);
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (static_cast<uint32_t>(text[i]) >= alphabet_size) {
+      return Status::InvalidArgument(
+          "symbol " + std::to_string(text[i]) + " at offset " +
+          std::to_string(i) + " outside alphabet of size " +
+          std::to_string(alphabet_size));
+    }
+    shifted[i] = static_cast<Symbol>(text[i] + 1);
+  }
+  shifted.back() = 0;
+  std::vector<SaIndex> sa(shifted.size());
+  SaIs(shifted.data(), static_cast<SaIndex>(shifted.size()),
+       size_t{alphabet_size} + 1, sa.data());
+  return sa;
 }
 
 }  // namespace
 
 Result<std::vector<SaIndex>> BuildSuffixArray(
     const std::vector<uint32_t>& text, uint32_t alphabet_size) {
-  if (text.size() >=
-      static_cast<size_t>(std::numeric_limits<SaIndex>::max()) - 1) {
-    return Status::InvalidArgument("text too long for 32-bit suffix array");
-  }
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] >= alphabet_size) {
-      return Status::InvalidArgument("symbol " + std::to_string(text[i]) +
-                                     " at offset " + std::to_string(i) +
-                                     " outside alphabet of size " +
-                                     std::to_string(alphabet_size));
-    }
-  }
-  // Augment: shift symbols up by one and append the 0 sentinel so the core
-  // precondition (unique minimal final symbol) holds.
-  const size_t n = text.size() + 1;
-  std::vector<uint32_t> augmented(n);
-  for (size_t i = 0; i + 1 < n; ++i) augmented[i] = text[i] + 1;
-  augmented[n - 1] = 0;
-  std::vector<SaIndex> sa;
-  SaIsImpl(augmented.data(), n, alphabet_size + 1, &sa);
-  return sa;
+  return SortShifted(text, alphabet_size);
 }
 
 Result<std::vector<SaIndex>> BuildSuffixArrayDna(
     const std::vector<DnaCode>& text) {
-  std::vector<uint32_t> widened(text.begin(), text.end());
-  return BuildSuffixArray(widened, kDnaAlphabetSize);
+  return SortShifted(text, kDnaAlphabetSize);
 }
 
 std::vector<SaIndex> BuildSuffixArrayNaive(const std::vector<uint32_t>& text) {

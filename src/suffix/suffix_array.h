@@ -32,10 +32,19 @@ using SaIndex = int32_t;
 /// Builds the suffix array of `text` (symbols in [0, alphabet_size)) with
 /// SA-IS. Returns InvalidArgument if a symbol is out of range or the text is
 /// longer than SaIndex can address.
+///
+/// Workspace: besides the returned array, the sort holds one copy of the
+/// text in the symbol type (shifted up by one to make room for the
+/// sentinel), one type bit per symbol at each recursion level, and one
+/// bucket array at a time (alphabet_size + 1 entries at the top level, one
+/// per distinct LMS-substring name below). The LMS names and every reduced
+/// string live inside the returned array.
 Result<std::vector<SaIndex>> BuildSuffixArray(const std::vector<uint32_t>& text,
                                               uint32_t alphabet_size);
 
-/// SA-IS over a DNA code sequence (alphabet size 4).
+/// SA-IS over a DNA code sequence (alphabet size 4). The shifted copy is one
+/// byte per base, so the peak is about 5.4 bytes per base, the 4-byte output
+/// included.
 Result<std::vector<SaIndex>> BuildSuffixArrayDna(
     const std::vector<DnaCode>& text);
 

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/naive_search.h"
@@ -217,6 +219,43 @@ TEST(BiFmIndexTest, FromForwardMatchesDirectBuild) {
                                          &rng);
     EXPECT_EQ(a.Search(pattern, 3, nullptr), b.Search(pattern, 3, nullptr));
   }
+}
+
+std::string SavedBytes(const FmIndex& index) {
+  std::stringstream stream;
+  EXPECT_TRUE(index.Save(stream).ok());
+  return stream.str();
+}
+
+TEST(BiFmIndexTest, HalvesSaveTheBytesOfSeparateBuilds) {
+  // The forward half is FmIndex::Build(text); the reverse half, built on a
+  // second thread from the text itself, must still be byte for byte
+  // FmIndex::Build(reverse(text)).
+  Rng rng(107);
+  FmIndex::Options with_table;
+  with_table.prefix_table_q = 3;
+  for (const auto& [text, options] :
+       {std::pair{RandomDna(600, &rng), FmIndex::Options()},
+        std::pair{PeriodicDna(700, 5, 0.03, &rng), with_table},
+        std::pair{Codes("acagaca"), FmIndex::Options()},
+        std::pair{std::vector<DnaCode>{}, FmIndex::Options()}}) {
+    const auto bidir = BiFmIndex::Build(text, options).value();
+    const std::vector<DnaCode> reversed(text.rbegin(), text.rend());
+    EXPECT_EQ(SavedBytes(bidir.forward()),
+              SavedBytes(FmIndex::Build(text, options).value()));
+    EXPECT_EQ(SavedBytes(bidir.reverse()),
+              SavedBytes(FmIndex::Build(reversed, options).value()));
+  }
+}
+
+TEST(BiFmIndexTest, BuildRejectsZeroSampleRate) {
+  // Both halves reject the options; Build reports it once both threads are
+  // done (the TSan leg reports a thread left unjoined).
+  FmIndex::Options options;
+  options.sa_sample_rate = 0;
+  const auto built = BiFmIndex::Build(Codes("acgtacgt"), options);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

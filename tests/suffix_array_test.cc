@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "suffix/suffix_array.h"
 #include "test_util.h"
@@ -108,7 +111,91 @@ TEST_P(SuffixArrayRandomTest, MatchesNaiveOnPeriodicText) {
             BuildSuffixArrayNaiveDna(text));
 }
 
+TEST_P(SuffixArrayRandomTest, GenericOverloadMatchesNaiveOnLargeAlphabets) {
+  // The uint32 overload (LcpIndex's) with alphabets of 2 up to 2^16 symbols.
+  // Drawing from a few symbols spread over the alphabet keeps repeats, and
+  // so recursion, in play while the bucket arrays span the whole alphabet.
+  Rng rng(4000 + GetParam());
+  const uint32_t alphabet = uint32_t{2} << (GetParam() % 16);
+  std::vector<uint32_t> symbols(1 + rng.NextBounded(5));
+  for (uint32_t& c : symbols) {
+    c = static_cast<uint32_t>(rng.NextBounded(alphabet));
+  }
+  std::vector<uint32_t> text(rng.NextBounded(300));
+  for (uint32_t& c : text) c = symbols[rng.NextBounded(symbols.size())];
+  EXPECT_EQ(BuildSuffixArray(text, alphabet).value(),
+            BuildSuffixArrayNaive(text))
+      << "alphabet " << alphabet;
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, SuffixArrayRandomTest, ::testing::Range(0, 25));
+
+// Checks both overloads against the oracle.
+void ExpectBothOverloadsMatchNaive(const std::vector<DnaCode>& text,
+                                   const std::string& label) {
+  const std::vector<uint32_t> widened(text.begin(), text.end());
+  const std::vector<SaIndex> expected = BuildSuffixArrayNaive(widened);
+  EXPECT_EQ(BuildSuffixArrayDna(text).value(), expected) << label;
+  EXPECT_EQ(BuildSuffixArray(widened, kDnaAlphabetSize).value(), expected)
+      << label;
+}
+
+TEST(SuffixArrayTest, EveryTextUpToLengthThree) {
+  for (size_t length = 0; length <= 3; ++length) {
+    size_t count = 1;
+    for (size_t i = 0; i < length; ++i) count *= kDnaAlphabetSize;
+    for (size_t code = 0; code < count; ++code) {
+      std::vector<DnaCode> text(length);
+      size_t rest = code;
+      for (DnaCode& c : text) {
+        c = static_cast<DnaCode>(rest % kDnaAlphabetSize);
+        rest /= kDnaAlphabetSize;
+      }
+      ExpectBothOverloadsMatchNaive(text, "code " + std::to_string(code));
+    }
+  }
+}
+
+TEST(SuffixArrayTest, FibonacciWordsRecurseDeeply) {
+  // Each reduced string of a Fibonacci word is Fibonacci-like again, so
+  // names repeat at every level: length 2584 recurses 7 levels deep.
+  std::vector<DnaCode> prev = {1};
+  std::vector<DnaCode> word = {0, 1};
+  while (word.size() < 3000) {
+    ExpectBothOverloadsMatchNaive(word,
+                                  "fibonacci " + std::to_string(word.size()));
+    std::vector<DnaCode> next = word;
+    next.insert(next.end(), prev.begin(), prev.end());
+    prev = std::move(word);
+    word = std::move(next);
+  }
+  // Prefixes of other lengths end the text inside a repeat.
+  for (size_t length = 1; length < 400; length += 7) {
+    ExpectBothOverloadsMatchNaive(
+        std::vector<DnaCode>(word.begin(), word.begin() + length),
+        "fibonacci prefix " + std::to_string(length));
+  }
+}
+
+TEST(SuffixArrayTest, ThueMorseWords) {
+  for (size_t length : {1u, 2u, 5u, 16u, 63u, 64u, 100u, 511u, 1024u, 2049u}) {
+    std::vector<DnaCode> text(length);
+    for (size_t i = 0; i < length; ++i) {
+      text[i] = static_cast<DnaCode>(std::popcount(i) & 1);
+    }
+    ExpectBothOverloadsMatchNaive(text,
+                                  "thue-morse " + std::to_string(length));
+  }
+}
+
+TEST(SuffixArrayTest, UnaryRunsWithAndWithoutATail) {
+  for (size_t run : {1u, 2u, 3u, 4u, 7u, 64u, 500u}) {
+    std::vector<DnaCode> text(run, 0);
+    ExpectBothOverloadsMatchNaive(text, "a^" + std::to_string(run));
+    text.push_back(1);
+    ExpectBothOverloadsMatchNaive(text, "a^" + std::to_string(run) + "b");
+  }
+}
 
 TEST(SuffixArrayTest, LargeInputIsValid) {
   Rng rng(99);
