@@ -1,6 +1,6 @@
-// Reuse benchmark: quantifies the cross-query reuse layers on top of the
-// batch engines — the exact-duplicate result cache (search/result_cache.h)
-// and the sharded k = 0 exact shortcut — against the reuse-off baseline.
+// Reuse benchmark: quantifies the exact-duplicate result cache
+// (search/result_cache.h) on top of the batch engines, monolithic and
+// sharded, against the cache-off baseline.
 // Emits BENCH_<name>.json (created_by "bench_reuse", validated by
 // tools/validate_bench_json.py, gated by tools/bench_diff.py on the
 // (genome, k, engine, threads) key where `engine` carries the reuse
@@ -55,16 +55,15 @@ namespace {
 // One reuse configuration; `name` is the run's `engine` key in the report.
 struct ConfigSpec {
   const char* name;
-  bool cache = false;     // BatchOptions::result_cache.enabled
-  bool sharded = false;   // route through ShardedBatchSearcher
-  bool shortcut = false;  // BatchOptions::sharded_exact_shortcut
+  bool cache = false;    // BatchOptions::result_cache.enabled
+  bool sharded = false;  // route through ShardedBatchSearcher
 };
 
 constexpr ConfigSpec kConfigs[] = {
     {"batch_off"},
     {"batch_cache", /*cache=*/true},
-    {"sharded_off", false, /*sharded=*/true, /*shortcut=*/false},
-    {"sharded_cache", true, /*sharded=*/true, /*shortcut=*/true},
+    {"sharded_off", false, /*sharded=*/true},
+    {"sharded_cache", true, /*sharded=*/true},
 };
 
 // Zipf(s = 1.0) over ranks 1..n. Weights are exact IEEE divisions
@@ -134,7 +133,6 @@ BatchOptions MakeOptions(const ConfigSpec& cfg, int threads,
   BatchOptions options;
   options.num_threads = threads;
   options.engine = engine;
-  options.sharded_exact_shortcut = cfg.shortcut;
   if (cfg.cache) {
     ResultCacheOptions cache_options;
     cache_options.enabled = true;
@@ -271,10 +269,10 @@ size_t CrossValidate(const FmIndex& index, const ShardedIndex& sharded,
       }
       ++cells;
 
-      // Sharded: full fan-out baseline vs cache + k = 0 shortcut; and the
-      // sharded baseline against the monolithic one (coordinate identity).
-      ConfigSpec shard_off{"crossval_sharded_off", false, true, false};
-      ConfigSpec shard_reuse{"crossval_sharded_reuse", true, true, true};
+      // Sharded: cache-off baseline vs cache; and the sharded baseline
+      // against the monolithic one (coordinate identity).
+      ConfigSpec shard_off{"crossval_sharded_off", false, true};
+      ConfigSpec shard_reuse{"crossval_sharded_reuse", true, true};
       BatchResult base_shard, reuse_shard;
       {
         ShardedBatchSearcher searcher(

@@ -83,7 +83,7 @@ int RunPipeline(const std::vector<bwtk::DnaCode>& genome,
                 int num_threads, const TraceFlags& trace_flags) {
   // Queries 2i and 2i+1 are the forward and reverse strand of read i. Built
   // before the index so sharded mode can size its overlap to the longest
-  // read (+ k), the exactness bound of the seam router.
+  // read (+ k), the exactness bound of the seam rule.
   std::vector<bwtk::BatchQuery> queries;
   queries.reserve(reads.size() * 2);
   size_t max_read_length = 0;

@@ -120,10 +120,8 @@ void BidirectionalSearch::ExecuteSearch(const std::vector<DnaCode>& pattern,
   // the length-q strings within Hamming distance upper[0] of the piece's
   // q-prefix, looked up forward-keyed in the forward table and
   // reverse-keyed in the reverse table.
-  const PrefixIntervalTable* fwd_table =
-      options_.use_prefix_table ? index_->forward().prefix_table() : nullptr;
-  const PrefixIntervalTable* rev_table =
-      options_.use_prefix_table ? index_->reverse().prefix_table() : nullptr;
+  const PrefixIntervalTable* fwd_table = index_->forward().prefix_table();
+  const PrefixIntervalTable* rev_table = index_->reverse().prefix_table();
   const uint32_t q = fwd_table ? fwd_table->q() : 0;
   const bool seedable =
       q > 0 && rev_table != nullptr && rev_table->q() == q &&

@@ -40,11 +40,6 @@
 namespace bwtk {
 
 struct BidirOptions {
-  /// Seed the first piece of each search from the paired q-gram prefix
-  /// tables when both halves carry one and the search's first upper bound
-  /// is within PrefixIntervalTable::kMaxSeedMismatches.
-  bool use_prefix_table = true;
-
   /// Scheme override for tests and experiments; must outlive the engine.
   /// Used only when its budget equals the (clamped) query k and the
   /// pattern is long enough for its pieces; otherwise the engine falls

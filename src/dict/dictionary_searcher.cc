@@ -56,8 +56,7 @@ std::vector<std::vector<Occurrence>> DictionarySearcher::SearchAll(
 
   std::vector<Frame> stack;
   uint64_t shared_extends = 0;
-  const PrefixIntervalTable* table =
-      options_.use_prefix_table ? index_->prefix_table() : nullptr;
+  const PrefixIntervalTable* table = index_->prefix_table();
   const uint32_t q = table ? table->q() : 0;
   if (q > 0 && m >= q && k <= PrefixIntervalTable::kMaxSeedMismatches) {
     // Seed every depth-q trie path from the table at once: per path this is
@@ -202,8 +201,7 @@ DictionaryBestHit DictionarySearcher::SearchBest(const PatternSetTrie& trie,
 
   std::vector<Frame> stack;
   uint64_t shared_extends = 0;
-  const PrefixIntervalTable* table =
-      options_.use_prefix_table ? index_->prefix_table() : nullptr;
+  const PrefixIntervalTable* table = index_->prefix_table();
   const uint32_t q = table ? table->q() : 0;
   if (q > 0 && m >= q && k <= PrefixIntervalTable::kMaxSeedMismatches) {
     BWTK_TRACE_SPAN(trace, "dict_seed");

@@ -31,14 +31,6 @@
 
 namespace bwtk {
 
-struct DictionaryOptions {
-  /// Seed the joint descent from the index's q-gram prefix table when one
-  /// is attached, the trie is at least q deep, and k is within the table's
-  /// seeding budget. Never changes results (the identity the prefix-table
-  /// tests already prove per pattern); off forces the stepped walk.
-  bool use_prefix_table = true;
-};
-
 /// The best assignment SearchBest found for a pattern set against the text:
 /// the pattern with the fewest-mismatch occurrence, kaori-style.
 struct DictionaryBestHit {
@@ -54,13 +46,11 @@ struct DictionaryBestHit {
   size_t position = 0;
 };
 
-/// Searches a whole PatternSetTrie against one FmIndex. Stateless apart
-/// from the options; safe for concurrent use on a shared index.
+/// Searches a whole PatternSetTrie against one FmIndex. Stateless; safe
+/// for concurrent use on a shared index.
 class DictionarySearcher {
  public:
-  explicit DictionarySearcher(const FmIndex* index,
-                              const DictionaryOptions& options = {})
-      : index_(index), options_(options) {}
+  explicit DictionarySearcher(const FmIndex* index) : index_(index) {}
 
   /// All occurrences of every pattern with at most k mismatches.
   /// result[id] answers trie.pattern(id), position-sorted — byte-identical
@@ -78,11 +68,9 @@ class DictionarySearcher {
                                SearchStats* stats = nullptr) const;
 
   const FmIndex& index() const { return *index_; }
-  const DictionaryOptions& options() const { return options_; }
 
  private:
   const FmIndex* index_;
-  DictionaryOptions options_;
 };
 
 }  // namespace bwtk

@@ -85,9 +85,9 @@ enum CounterId : uint32_t {
   /// Extend calls that would have run without the table; compare against
   /// extend_calls to see the fraction of stepping the table absorbed.
   kCounterPrefixTableSkippedSteps,
-  // shard layer (shard/sharded_searcher.h). Counted by the router, off the
-  // per-node hot path.
-  kCounterShardQueries,     ///< (query, shard) tasks fanned out by routers.
+  // shard layer (shard/sharded_searcher.h). Counted once per query, off
+  // the per-node hot path.
+  kCounterShardQueries,     ///< (query, shard) pairs an engine searched.
   kCounterSeamHitsDeduped,  ///< overlap-seam hits discarded by ownership.
   // serving layer (serve/session.h). Counted at admission/completion — once
   // per ticket, never per node.
@@ -111,8 +111,8 @@ enum CounterId : uint32_t {
   kCounterResultCacheHits,       ///< queries answered from the result cache.
   kCounterResultCacheMisses,     ///< result-cache probes that missed.
   kCounterResultCacheEvictions,  ///< LRU entries evicted to fit capacity.
-  /// Sharded k=0 point lookups answered by the exact-match short-circuit
-  /// instead of the engine fan-out (shard/sharded_searcher.h).
+  /// Sharded k=0 queries answered by one point lookup per shard instead
+  /// of an engine run (EngineBank::Answer, batch and served alike).
   kCounterShardExactShortcuts,
   // serving telemetry (serve/server.h, serve/session.h). Counted once per
   // request/ticket — never per node — so they sit outside the engine hot

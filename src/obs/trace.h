@@ -91,8 +91,8 @@ struct Trace {
   int32_t k = 0;
   uint32_t thread_index = 0;
   /// Which index of a sharded/multi-index group ran the query (0 for the
-  /// monolithic engines). Set by BatchSearcher's fanout path so sharded
-  /// traces carry their shard as a first-class dimension.
+  /// monolithic engines). Set by EngineBank::Answer so sharded traces
+  /// carry their shard as a first-class dimension.
   uint32_t shard_id = 0;
   uint64_t pattern_length = 0;
   uint64_t begin_ns = 0;  ///< TraceClockNanos() when the query started.

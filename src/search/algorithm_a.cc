@@ -124,7 +124,6 @@ class SearchContext {
         k_(k),
         reuse_(options.reuse),
         use_tau_(options.use_tau),
-        use_prefix_table_(options.use_prefix_table),
         scratch_(scratch),
         dag_(scratch.dag),
         node_of_range_(scratch.node_of_range),
@@ -177,8 +176,7 @@ class SearchContext {
   // false when the table is absent or inapplicable (pattern shorter than q,
   // k beyond the seeding cap) and the caller must start at the root.
   bool SeedFromPrefixTable() {
-    const PrefixIntervalTable* table =
-        use_prefix_table_ ? index_.prefix_table() : nullptr;
+    const PrefixIntervalTable* table = index_.prefix_table();
     if (table == nullptr) return false;
     const uint32_t q = table->q();
     if (m_ < q || k_ > PrefixIntervalTable::kMaxSeedMismatches) return false;
@@ -547,7 +545,6 @@ class SearchContext {
   const int32_t k_;
   const AlgorithmAOptions::Reuse reuse_;
   const bool use_tau_;
-  const bool use_prefix_table_;
   // The thread's active trace, hoisted once per query so per-node hooks are
   // a single null check (no TLS access in the enumeration loop).
   obs::Trace* const trace_ = BWTK_TRACE_ACTIVE();

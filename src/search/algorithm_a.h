@@ -97,15 +97,6 @@ struct AlgorithmAOptions {
   /// off reproduces the paper's M-tree sizes exactly (Table 2), leaving it
   /// on is what a production deployment would run. Default on.
   bool use_tau = true;
-
-  /// Seed the enumeration at depth q from the index's prefix interval table
-  /// when one is attached and k <= PrefixIntervalTable::kMaxSeedMismatches,
-  /// building the corresponding M-tree paths directly. Result-identical,
-  /// but the M-tree/leaf *counts* can differ from the stepped walk (paths
-  /// that die inside the prefix are never materialized), so ablations that
-  /// reproduce the paper's Table 2 sizes should turn this off along with
-  /// use_tau. Default on.
-  bool use_prefix_table = true;
 };
 
 /// The paper's Algorithm A over an FM-index.

@@ -12,6 +12,8 @@
 #include "obs/trace_export.h"
 #include "search/kerror_search.h"
 #include "search/wildcard_search.h"
+#include "shard/sharded_index.h"
+#include "shard/sharded_searcher.h"
 #include "util/logging.h"
 
 namespace bwtk {
@@ -81,15 +83,27 @@ Result<std::vector<DnaCode>> DecodeBatchPattern(BatchEngine engine,
   return EncodeDna(pattern);
 }
 
+BatchOptions WithSharedResultCache(BatchOptions options) {
+  if (options.result_cache_instance == nullptr &&
+      options.result_cache.enabled) {
+    options.result_cache_instance =
+        std::make_shared<ResultCache>(options.result_cache);
+  }
+  return options;
+}
+
 // One engine per (worker, index): each engine is a thin const view of its
 // shared index plus options, so a bank costs nothing to build and keeps
 // workers symmetric with serial callers. Every FmIndex-backed family is
-// instantiated eagerly — per-ticket engine overrides (RunWith) and kAuto
-// dispatch mean any of them can run on any task; the bidirectional family
-// exists iff the caller supplied BatchOptions::bidir_indexes.
+// instantiated eagerly — per-ticket engine overrides and kAuto dispatch
+// mean any of them can run on any query; the bidirectional family exists
+// iff the caller supplied BatchOptions::bidir_indexes.
 struct EngineBank::Impl {
   BatchOptions options;
-  size_t num_indexes = 0;
+  std::vector<const FmIndex*> indexes;     // the index, or the shards
+  const ShardedIndex* sharded = nullptr;   // non-null for a sharded group
+  ResultCache* cache = nullptr;            // options.result_cache_instance
+  uint64_t version = 0;                    // the group's cache-key version
   std::vector<AlgorithmA> a_engines;
   std::vector<STreeSearch> stree_engines;
   std::vector<KErrorSearch> kerror_engines;
@@ -98,53 +112,136 @@ struct EngineBank::Impl {
   // unique_ptr because BidirectionalSearch owns a mutex (scheme cache) and
   // cannot be vector-moved.
   std::vector<std::unique_ptr<BidirectionalSearch>> bidir_engines;
-  AlgorithmAScratch scratch;  // reused across every Run, never shrinks
+  AlgorithmAScratch scratch;  // reused across every query, never shrinks
+
+  Impl(std::vector<const FmIndex*> group, const ShardedIndex* sharded_index,
+       const BatchOptions& opts)
+      : options(opts),
+        indexes(std::move(group)),
+        sharded(sharded_index),
+        cache(opts.result_cache_instance.get()) {
+    if (cache != nullptr) {
+      version = sharded != nullptr ? ShardedIndexVersion(*sharded)
+                                   : FmIndexVersion(*indexes[0]);
+    }
+    const size_t n = indexes.size();
+    a_engines.reserve(n);
+    stree_engines.reserve(n);
+    kerror_engines.reserve(n);
+    wildcard_engines.reserve(n);
+    dict_engines.reserve(n);
+    for (const FmIndex* index : indexes) {
+      BWTK_CHECK(index != nullptr);
+      a_engines.emplace_back(index, options.algorithm_a);
+      stree_engines.emplace_back(index, options.stree);
+      kerror_engines.emplace_back(index);
+      wildcard_engines.emplace_back(index);
+      dict_engines.emplace_back(index);
+    }
+    if (!options.bidir_indexes.empty()) {
+      BWTK_CHECK_EQ(options.bidir_indexes.size(), n);
+      bidir_engines.reserve(n);
+      for (size_t s = 0; s < n; ++s) {
+        const BiFmIndex* bidir = options.bidir_indexes[s];
+        BWTK_CHECK(bidir != nullptr);
+        // Alignment contract: slot s's bidirectional index must index the
+        // same text as slot s's FmIndex (full content equality is the
+        // caller's responsibility; the size check catches swapped slots).
+        BWTK_CHECK_EQ(bidir->text_size(), indexes[s]->text_size());
+        bidir_engines.push_back(
+            std::make_unique<BidirectionalSearch>(bidir, options.bidir));
+      }
+    }
+    BWTK_CHECK(options.engine != BatchEngine::kBidirectional ||
+               !bidir_engines.empty())
+        << "engine bidirectional needs BatchOptions::bidir_indexes";
+  }
+
+  // A sharded k = 0 query without wildcards: every engine is exact
+  // matching there, so one backward search + locate per shard answers it.
+  bool PointLookupEligible(const BatchQuery& query) const {
+    if (sharded == nullptr || query.k != 0 || query.pattern.empty()) {
+      return false;
+    }
+    for (const DnaCode c : query.pattern) {
+      if (c >= kDnaAlphabetSize) return false;
+    }
+    return true;
+  }
 };
 
-EngineBank::EngineBank(const std::vector<const FmIndex*>& indexes,
-                       const BatchOptions& options)
-    : impl_(std::make_unique<Impl>()) {
-  BWTK_CHECK(!indexes.empty());
-  for (const FmIndex* index : indexes) BWTK_CHECK(index != nullptr);
-  impl_->options = options;
-  impl_->num_indexes = indexes.size();
-  impl_->a_engines.reserve(indexes.size());
-  impl_->stree_engines.reserve(indexes.size());
-  impl_->kerror_engines.reserve(indexes.size());
-  impl_->wildcard_engines.reserve(indexes.size());
-  impl_->dict_engines.reserve(indexes.size());
-  for (const FmIndex* index : indexes) {
-    impl_->a_engines.emplace_back(index, options.algorithm_a);
-    impl_->stree_engines.emplace_back(index, options.stree);
-    impl_->kerror_engines.emplace_back(index);
-    impl_->wildcard_engines.emplace_back(index);
-    impl_->dict_engines.emplace_back(index, options.dictionary);
-  }
-  if (!options.bidir_indexes.empty()) {
-    BWTK_CHECK_EQ(options.bidir_indexes.size(), indexes.size());
-    impl_->bidir_engines.reserve(indexes.size());
-    for (size_t s = 0; s < indexes.size(); ++s) {
-      const BiFmIndex* bidir = options.bidir_indexes[s];
-      BWTK_CHECK(bidir != nullptr);
-      // Alignment contract: slot s's bidirectional index must index the
-      // same text as slot s's FmIndex (full content equality is the
-      // caller's responsibility; the size check catches swapped slots).
-      BWTK_CHECK_EQ(bidir->text_size(), indexes[s]->text_size());
-      impl_->bidir_engines.push_back(
-          std::make_unique<BidirectionalSearch>(bidir, options.bidir));
-    }
-  }
-  BWTK_CHECK(Supports(options.engine))
-      << "engine " << BatchEngineName(options.engine)
-      << " needs BatchOptions::bidir_indexes";
-}
+EngineBank::EngineBank(const FmIndex* index, const BatchOptions& options)
+    : impl_(std::make_unique<Impl>(std::vector<const FmIndex*>{index},
+                                   nullptr, options)) {}
+
+EngineBank::EngineBank(const ShardedIndex* index, const BatchOptions& options)
+    : impl_(std::make_unique<Impl>(index->ShardPointers(), index, options)) {}
 
 EngineBank::~EngineBank() = default;
 
-std::vector<Occurrence> EngineBank::Run(const BatchQuery& query,
-                                        size_t index_slot,
-                                        SearchStats* stats) {
-  return RunWith(impl_->options.engine, query, index_slot, stats);
+QueryAnswer EngineBank::Answer(BatchEngine engine, const BatchQuery& query,
+                               obs::TraceSink* sink, uint64_t trace_id,
+                               uint32_t thread_index) {
+  Impl& impl = *impl_;
+  QueryAnswer answer;
+  // Trace labels, cache keys and served counters all attribute to the
+  // engine the query actually runs under, so kAuto shares cache entries
+  // with pools and Sessions that pin the same engine.
+  answer.engine = Resolve(engine, query);
+  if (query.k < 0) return answer;
+  const uint8_t engine_id = static_cast<uint8_t>(answer.engine);
+  if (impl.cache != nullptr) {
+    ResultCache::Entry cached;
+    if (impl.cache->Lookup(engine_id, query.k, impl.version, query.pattern,
+                           &cached)) {
+      answer.hits = std::move(cached.hits);
+      answer.stats = cached.stats;
+      answer.seam_hits_deduped = cached.seam_hits_deduped;
+      answer.cache_served = true;
+      return answer;
+    }
+  }
+  const size_t num_indexes = impl.indexes.size();
+  if (impl.sharded == nullptr) {
+    obs::ScopedQueryTrace qt(sink, trace_id, BatchEngineName(answer.engine),
+                             query.k, query.pattern.size(), thread_index, 0);
+    answer.hits = RunWith(answer.engine, query, 0, &answer.stats);
+    qt.Finish(answer.hits.size(), answer.stats);
+  } else {
+    std::vector<std::vector<Occurrence>> parts(num_indexes);
+    if (impl.PointLookupEligible(query)) {
+      for (size_t s = 0; s < num_indexes; ++s) {
+        const FmIndex& shard = *impl.indexes[s];
+        const FmIndex::Range range = shard.MatchForward(query.pattern);
+        if (range.empty()) continue;
+        for (const size_t pos : shard.Locate(range, query.pattern.size())) {
+          parts[s].push_back(Occurrence{pos, 0});
+        }
+      }
+      BWTK_METRIC_COUNT(kCounterShardExactShortcuts);
+    } else {
+      BWTK_METRIC_COUNT_N(kCounterShardQueries, num_indexes);
+      for (size_t s = 0; s < num_indexes; ++s) {
+        SearchStats shard_stats;
+        obs::ScopedQueryTrace qt(sink, trace_id + s,
+                                 BatchEngineName(answer.engine), query.k,
+                                 query.pattern.size(), thread_index,
+                                 static_cast<uint32_t>(s));
+        parts[s] = RunWith(answer.engine, query, s, &shard_stats);
+        qt.Finish(parts[s].size(), shard_stats);
+        answer.stats += shard_stats;
+      }
+    }
+    answer.seam_hits_deduped = ResolveShardedHits(
+        impl.sharded->plan(), ShardedQueryWindow(query, answer.engine),
+        parts.data(), &answer.hits);
+  }
+  if (impl.cache != nullptr) {
+    impl.cache->Insert(engine_id, query.k, impl.version, query.pattern,
+                       ResultCache::Entry{answer.hits, answer.stats,
+                                          answer.seam_hits_deduped});
+  }
+  return answer;
 }
 
 bool EngineBank::Supports(BatchEngine engine) const {
@@ -230,7 +327,7 @@ std::vector<std::vector<Occurrence>> EngineBank::RunDictionary(
     const PatternSetTrie& trie, int32_t k, size_t index_slot,
     SearchStats* stats) {
   BWTK_CHECK(impl_->options.engine == BatchEngine::kDictionary);
-  // SearchAll's per-pattern lists are position-sorted, as Run's are.
+  // SearchAll's per-pattern lists are position-sorted, as RunWith's are.
   return impl_->dict_engines[index_slot].SearchAll(trie, k, stats);
 }
 
@@ -238,22 +335,28 @@ std::string_view EngineBank::engine_name() const {
   return BatchEngineName(impl_->options.engine);
 }
 
-size_t EngineBank::num_indexes() const { return impl_->num_indexes; }
+size_t EngineBank::num_indexes() const { return impl_->indexes.size(); }
 
 // All pool state. The mutex guards the batch hand-off (generation counter,
 // batch pointers, completion count); the query path itself is lock-free —
 // workers claim task indices from `cursor` and write disjoint slots of the
-// output vector, which is pre-sized before workers wake. A task is a
-// (query, index) pair: task t runs queries[t / S] against indexes[t % S],
-// where S = indexes.size(). For the common single-index pool the task index
-// IS the query index.
+// output vector, which is pre-sized before workers wake. A task is one
+// query, answered against the whole index group by EngineBank::Answer;
+// kDictionary batches instead run (group, index) tasks (see DictGroup).
 struct BatchSearcher::Pool {
-  std::vector<const FmIndex*> indexes;
-  BatchOptions options;
+  const FmIndex* index = nullptr;         // exactly one of these is set
+  const ShardedIndex* sharded = nullptr;
+  size_t num_indexes = 1;                 // 1, or the shard count
+  BatchOptions options;  // result_cache_instance set iff caching is on
   int num_threads;
 
+  // Per-worker batch totals, tid-indexed, valid per batch.
+  struct WorkerTotals {
+    SearchStats stats;
+    uint64_t seam_hits_deduped = 0;
+  };
   std::vector<std::thread> workers;
-  std::vector<SearchStats> thread_stats;  // tid-indexed, valid per batch
+  std::vector<WorkerTotals> thread_totals;
 
   std::mutex mu;
   std::condition_variable work_cv;  // workers wait for a new generation
@@ -263,9 +366,8 @@ struct BatchSearcher::Pool {
   int workers_left = 0;             // workers still in the batch (mu)
 
   // Current batch, valid while workers_left > 0. `out` has one slot per
-  // (query, index) pair (query_count * indexes.size()).
+  // query, or for kDictionary one per (query, index) pair.
   const BatchQuery* queries = nullptr;
-  size_t query_count = 0;
   size_t task_count = 0;
   std::vector<std::vector<Occurrence>>* out = nullptr;
   std::atomic<size_t> cursor{0};
@@ -274,24 +376,19 @@ struct BatchSearcher::Pool {
   // thread folds the batch's valid queries into one PatternSetTrie per
   // (pattern length, k) — usually a single group for a real barcode batch —
   // and a task is a (group, index) pair whose worker answers the whole
-  // group with one joint descent, scattering per-pattern hits back into the
-  // same per-(query, index) `out` slots the per-query dispatch fills.
-  // Workers write disjoint slots because each query belongs to exactly one
-  // group. Valid for the live batch, guarded by the same hand-off as
-  // `queries`.
+  // group with one joint descent, scattering per-pattern hits into the
+  // per-(query, index) `out` slots. Over shards this keeps the groups
+  // spread across workers (one joint descent per shard), and the seams are
+  // resolved after the batch. Workers write disjoint slots because each
+  // query belongs to exactly one group. Valid for the live batch, guarded
+  // by the same hand-off as `queries`. These batches bypass the result
+  // cache.
   struct DictGroup {
     PatternSetTrie trie;
     int32_t k = 0;
     std::vector<size_t> query_ids;  // indexes into the batch, input order
   };
   std::vector<DictGroup> dict_groups;
-
-  // Exact-duplicate result cache, consulted per (query, index) task before
-  // the engine runs. Either the caller-provided shared instance or a
-  // private one; null when caching is off. Dictionary batches bypass it
-  // (they dispatch at group granularity).
-  std::shared_ptr<ResultCache> cache;
-  std::vector<uint64_t> index_versions;  // per slot, for the cache key
 
   // Tracing. The sink exists iff tracing is on (trace_sample_rate > 0 in a
   // metrics-enabled build); a null sink makes every per-query trace hook a
@@ -303,12 +400,13 @@ struct BatchSearcher::Pool {
 
   void WorkerLoop(int tid) {
     uint64_t seen = 0;
-    const size_t num_indexes = indexes.size();
-    // The bank owns this worker's engines and AlgorithmA scratch; Run() is
-    // the same task-granular entry point the serving layer drives, so batch
-    // and streamed execution cannot drift apart.
-    EngineBank bank(indexes, options);
+    // The bank owns this worker's engines and AlgorithmA scratch; Answer()
+    // is the same per-query step the serving layer drives, so batch and
+    // streamed execution cannot drift apart.
+    EngineBank bank = sharded != nullptr ? EngineBank(sharded, options)
+                                         : EngineBank(index, options);
     const std::string_view engine_name = bank.engine_name();
+    const uint32_t thread_index = static_cast<uint32_t>(tid);
     for (;;) {
       uint64_t base = 0;
       obs::TraceSink* tsink = nullptr;
@@ -328,7 +426,7 @@ struct BatchSearcher::Pool {
         wake_ns = obs::TraceClockNanos();
       }
       BWTK_SCOPED_TIMER(kPhaseWorkerSearch);
-      SearchStats batch_stats;
+      WorkerTotals totals;
       uint64_t tasks_run = 0;
       if (options.engine == BatchEngine::kDictionary) {
         // Group-granular dispatch: task t answers dict_groups[t / S] against
@@ -340,13 +438,14 @@ struct BatchSearcher::Pool {
           const size_t g = t / num_indexes;
           const size_t s = t % num_indexes;
           const DictGroup& group = dict_groups[g];
-          BWTK_METRIC_COUNT_N(kCounterBatchQueries, group.query_ids.size());
+          if (s == 0) {
+            BWTK_METRIC_COUNT_N(kCounterBatchQueries, group.query_ids.size());
+          }
           SearchStats task_stats;
           // Trace id = batch sequence | task index, as below; one trace
           // covers the whole group's descent.
           obs::ScopedQueryTrace qt(tsink, base | t, engine_name, group.k,
-                                   group.trie.length(),
-                                   static_cast<uint32_t>(tid),
+                                   group.trie.length(), thread_index,
                                    static_cast<uint32_t>(s));
           std::vector<std::vector<Occurrence>> per_pattern =
               bank.RunDictionary(group.trie, group.k, s, &task_stats);
@@ -357,58 +456,26 @@ struct BatchSearcher::Pool {
                 std::move(per_pattern[j]);
           }
           qt.Finish(matches, task_stats);
-          batch_stats += task_stats;
+          totals.stats += task_stats;
           ++tasks_run;
         }
       } else {
         for (;;) {
-          const size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (t >= task_count) break;
-          const size_t q = t / num_indexes;
-          const size_t s = t % num_indexes;
+          const size_t q = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (q >= task_count) break;
           const BatchQuery& query = queries[q];
           // A negative budget marks a query skipped at decode time (ASCII
-          // fail_fast = false path); its slots stay empty.
+          // fail_fast = false path); its slot stays empty.
           if (query.k < 0) continue;
           BWTK_METRIC_COUNT(kCounterBatchQueries);
-          // Everything downstream — trace label, cache key, execution —
-          // attributes to the engine this query actually runs under; for a
-          // pinned pool Resolve is the identity, under kAuto it is the
-          // per-query pick (so kAuto shares cache entries with pools that
-          // pin the same engine).
-          const BatchEngine resolved = bank.Resolve(options.engine, query);
-          const uint8_t engine_id = static_cast<uint8_t>(resolved);
-          if (cache != nullptr) {
-            ResultCache::Entry cached;
-            if (cache->Lookup(engine_id, query.k, index_versions[s],
-                              query.pattern, &cached)) {
-              // Served from cache: the stored stats are the ones the
-              // original execution produced, so the aggregate is identical
-              // to a cold run.
-              (*out)[t] = std::move(cached.hits);
-              batch_stats += cached.stats;
-              ++tasks_run;
-              continue;
-            }
-          }
-          SearchStats query_stats;
           // Trace id = batch sequence | task index: stable across runs, so
           // the sampled subset does not depend on thread assignment.
-          obs::ScopedQueryTrace qt(tsink, base | t,
-                                   BatchEngineName(resolved), query.k,
-                                   query.pattern.size(),
-                                   static_cast<uint32_t>(tid),
-                                   static_cast<uint32_t>(s));
-          std::vector<Occurrence> hits =
-              bank.RunWith(resolved, query, s, &query_stats);
-          qt.Finish(hits.size(), query_stats);
-          if (cache != nullptr) {
-            cache->Insert(engine_id, query.k, index_versions[s],
-                          query.pattern,
-                          ResultCache::Entry{hits, query_stats, 0});
-          }
-          (*out)[t] = std::move(hits);
-          batch_stats += query_stats;
+          QueryAnswer answer = bank.Answer(options.engine, query, tsink,
+                                           base | (q * num_indexes),
+                                           thread_index);
+          (*out)[q] = std::move(answer.hits);
+          totals.stats += answer.stats;
+          totals.seam_hits_deduped += answer.seam_hits_deduped;
           ++tasks_run;
         }
       }
@@ -419,7 +486,7 @@ struct BatchSearcher::Pool {
         obs::Trace lane;
         lane.trace_id = base | (kAuxIdBase + static_cast<uint64_t>(tid));
         lane.engine = "batch_worker";
-        lane.thread_index = static_cast<uint32_t>(tid);
+        lane.thread_index = thread_index;
         lane.begin_ns = wait_begin_ns;
         lane.matches = tasks_run;
         const uint64_t end_ns = obs::TraceClockNanos();
@@ -431,7 +498,7 @@ struct BatchSearcher::Pool {
       }
       {
         std::lock_guard<std::mutex> lock(mu);
-        thread_stats[tid] = batch_stats;
+        thread_totals[tid] = totals;
         if (--workers_left == 0) done_cv.notify_one();
       }
     }
@@ -479,12 +546,12 @@ struct BatchSearcher::Pool {
     return groups;
   }
 
-  // Runs one batch of query_count * indexes.size() tasks into `slots`
-  // (pre-sized by the caller) and returns the tid-order merged stats.
-  // kDictionary batches run dict_groups.size() * indexes.size() tasks
-  // instead, into the same slots.
-  SearchStats RunTasks(const std::vector<BatchQuery>& batch,
-                       std::vector<std::vector<Occurrence>>* slots) {
+  // Runs one batch into `slots` (pre-sized by the caller: one per query, or
+  // for kDictionary one per (query, index) pair) and folds the workers'
+  // totals into `result` in tid order.
+  void RunTasks(const std::vector<BatchQuery>& batch,
+                std::vector<std::vector<Occurrence>>* slots,
+                BatchResult* result) {
     BWTK_METRIC_COUNT(kCounterBatchBatches);
     const bool dict = options.engine == BatchEngine::kDictionary;
     std::vector<DictGroup> groups;
@@ -492,16 +559,14 @@ struct BatchSearcher::Pool {
     {
       std::lock_guard<std::mutex> lock(mu);
       queries = batch.data();
-      query_count = batch.size();
       dict_groups = std::move(groups);
-      task_count = (dict ? dict_groups.size() : batch.size()) *
-                   indexes.size();
+      task_count = dict ? dict_groups.size() * num_indexes : batch.size();
       out = slots;
       cursor.store(0, std::memory_order_relaxed);
       trace_base = batch_seq << 32;
       ++batch_seq;
       workers_left = num_threads;
-      for (SearchStats& stats : thread_stats) stats = SearchStats{};
+      for (WorkerTotals& totals : thread_totals) totals = WorkerTotals{};
       ++generation;
     }
     work_cv.notify_all();
@@ -514,53 +579,49 @@ struct BatchSearcher::Pool {
     }
     // Merge in tid order so the aggregate is reproducible run to run even
     // though the task→thread assignment is not.
-    SearchStats total;
-    for (const SearchStats& stats : thread_stats) total += stats;
+    for (const WorkerTotals& totals : thread_totals) {
+      result->stats += totals.stats;
+      result->seam_hits_deduped += totals.seam_hits_deduped;
+    }
     if (sink != nullptr && !options.trace_out.empty()) {
       const Status status = obs::WriteTraceFile(*sink, options.trace_out);
       if (!status.ok()) {
         BWTK_LOG(Warning) << "trace export failed: " << status.message();
       }
     }
-    return total;
+  }
+
+  void Start(const BatchOptions& opts) {
+    options = WithSharedResultCache(opts);
+    num_threads = ResolveThreadCount(options.num_threads);
+    if (BWTK_METRICS_ENABLED && options.trace_sample_rate > 0.0) {
+      obs::TraceSinkOptions sink_options;
+      sink_options.sample_rate = options.trace_sample_rate;
+      sink_options.slow_trace_count = options.slow_trace_count;
+      sink = std::make_unique<obs::TraceSink>(sink_options);
+    }
+    thread_totals.resize(num_threads);
+    workers.reserve(num_threads);
+    for (int tid = 0; tid < num_threads; ++tid) {
+      workers.emplace_back([this, tid] { WorkerLoop(tid); });
+    }
   }
 };
 
 BatchSearcher::BatchSearcher(const FmIndex* index, const BatchOptions& options)
-    : BatchSearcher(std::vector<const FmIndex*>{index}, options) {}
+    : pool_(std::make_unique<Pool>()) {
+  BWTK_CHECK(index != nullptr);
+  pool_->index = index;
+  pool_->Start(options);
+}
 
-BatchSearcher::BatchSearcher(std::vector<const FmIndex*> indexes,
+BatchSearcher::BatchSearcher(const ShardedIndex* index,
                              const BatchOptions& options)
     : pool_(std::make_unique<Pool>()) {
-  BWTK_CHECK(!indexes.empty());
-  for (const FmIndex* index : indexes) BWTK_CHECK(index != nullptr);
-  pool_->indexes = std::move(indexes);
-  pool_->options = options;
-  pool_->num_threads = ResolveThreadCount(options.num_threads);
-  if (BWTK_METRICS_ENABLED && options.trace_sample_rate > 0.0) {
-    obs::TraceSinkOptions sink_options;
-    sink_options.sample_rate = options.trace_sample_rate;
-    sink_options.slow_trace_count = options.slow_trace_count;
-    pool_->sink = std::make_unique<obs::TraceSink>(sink_options);
-  }
-  if (options.result_cache_instance != nullptr) {
-    pool_->cache = options.result_cache_instance;
-  } else if (options.result_cache.enabled) {
-    pool_->cache = std::make_shared<ResultCache>(options.result_cache);
-  }
-  if (pool_->cache != nullptr) {
-    pool_->index_versions.reserve(pool_->indexes.size());
-    for (const FmIndex* index : pool_->indexes) {
-      pool_->index_versions.push_back(FmIndexVersion(*index));
-    }
-  }
-  pool_->thread_stats.resize(pool_->num_threads);
-  pool_->workers.reserve(pool_->num_threads);
-  for (int tid = 0; tid < pool_->num_threads; ++tid) {
-    pool_->workers.emplace_back([pool = pool_.get(), tid] {
-      pool->WorkerLoop(tid);
-    });
-  }
+  BWTK_CHECK(index != nullptr);
+  pool_->sharded = index;
+  pool_->num_indexes = index->num_shards();
+  pool_->Start(options);
 }
 
 BatchSearcher::~BatchSearcher() {
@@ -574,8 +635,6 @@ BatchSearcher::~BatchSearcher() {
 
 int BatchSearcher::num_threads() const { return pool_->num_threads; }
 
-size_t BatchSearcher::num_indexes() const { return pool_->indexes.size(); }
-
 const obs::TraceSink* BatchSearcher::trace_sink() const {
   return pool_->sink.get();
 }
@@ -583,62 +642,54 @@ const obs::TraceSink* BatchSearcher::trace_sink() const {
 BatchResult BatchSearcher::Search(const std::vector<BatchQuery>& queries) {
   BatchResult result;
   if (queries.empty()) return result;
-  const size_t num_indexes = pool_->indexes.size();
-  if (num_indexes == 1) {
-    result.occurrences.resize(queries.size());
-    result.stats = pool_->RunTasks(queries, &result.occurrences);
+  result.occurrences.resize(queries.size());
+  const size_t num_indexes = pool_->num_indexes;
+  if (pool_->options.engine != BatchEngine::kDictionary || num_indexes == 1) {
+    pool_->RunTasks(queries, &result.occurrences, &result);
     return result;
   }
-  // Index group: run the full fanout, then fold each query's per-index
-  // lists into one sorted union (local coordinates, duplicates kept — seam
-  // semantics belong to ShardedBatchSearcher).
+  // A sharded dictionary batch: per-(query, shard) lists in local
+  // coordinates, folded by the seam rule once the batch is done.
   std::vector<std::vector<Occurrence>> slots(queries.size() * num_indexes);
-  result.stats = pool_->RunTasks(queries, &slots);
-  result.occurrences.resize(queries.size());
+  pool_->RunTasks(queries, &slots, &result);
   for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<Occurrence>& merged = result.occurrences[q];
-    size_t total = 0;
-    for (size_t s = 0; s < num_indexes; ++s) {
-      total += slots[q * num_indexes + s].size();
-    }
-    merged.reserve(total);
-    for (size_t s = 0; s < num_indexes; ++s) {
-      std::vector<Occurrence>& part = slots[q * num_indexes + s];
-      merged.insert(merged.end(), part.begin(), part.end());
-      part.clear();
-    }
-    NormalizeOccurrences(&merged);
+    const BatchQuery& query = queries[q];
+    if (query.k < 0) continue;
+    BWTK_METRIC_COUNT_N(kCounterShardQueries, num_indexes);
+    result.seam_hits_deduped += ResolveShardedHits(
+        pool_->sharded->plan(),
+        ShardedQueryWindow(query, BatchEngine::kDictionary),
+        &slots[q * num_indexes], &result.occurrences[q]);
   }
   return result;
 }
 
-BatchFanoutResult BatchSearcher::SearchFanout(
-    const std::vector<BatchQuery>& queries) {
-  BatchFanoutResult result;
-  result.occurrences.resize(queries.size() * pool_->indexes.size());
-  if (queries.empty()) return result;
-  result.stats = pool_->RunTasks(queries, &result.occurrences);
-  return result;
-}
-
-Result<BatchResult> BatchSearcher::Search(
-    const std::vector<std::string>& patterns, int32_t k) {
+Result<std::vector<BatchQuery>> BatchSearcher::DecodeAscii(
+    const BatchOptions& options, const std::vector<std::string>& patterns,
+    int32_t k, size_t* failed) {
   std::vector<BatchQuery> queries(patterns.size());
-  size_t failed = 0;
   for (size_t i = 0; i < patterns.size(); ++i) {
-    auto codes = DecodeBatchPattern(pool_->options.engine, patterns[i]);
+    auto codes = DecodeBatchPattern(options.engine, patterns[i]);
     if (!codes.ok()) {
-      if (pool_->options.fail_fast) {
+      if (options.fail_fast) {
         return Status::InvalidArgument("batch query " + std::to_string(i) +
                                        ": " + codes.status().message());
       }
-      ++failed;
-      queries[i].k = -1;  // negative budget: the worker skips the task
+      ++*failed;
+      queries[i].k = -1;  // negative budget: the worker skips the query
       continue;
     }
     queries[i].pattern = std::move(codes).value();
     queries[i].k = k;
   }
+  return queries;
+}
+
+Result<BatchResult> BatchSearcher::Search(
+    const std::vector<std::string>& patterns, int32_t k) {
+  size_t failed = 0;
+  BWTK_ASSIGN_OR_RETURN(std::vector<BatchQuery> queries,
+                        DecodeAscii(pool_->options, patterns, k, &failed));
   BatchResult result = Search(queries);
   result.failed_queries = failed;
   return result;

@@ -1,26 +1,24 @@
-// BatchSearcher — parallel k-mismatch search over one (or a group of)
-// shared FM-indexes.
+// BatchSearcher — parallel k-mismatch search over one shared FM-index or
+// one ShardedIndex.
 //
 // An FmIndex is immutable after Build() and every query-path method on it
 // is const, so N threads can search the same index with no locks. This class
 // packages that: a fixed-size std::thread worker pool, an atomic cursor
-// handing out work items, and one AlgorithmAScratch per worker so the engine
-// allocates nothing per query after warm-up. Results come back in input
-// order; per-thread SearchStats are merged into one aggregate at batch end.
+// handing out queries, and one EngineBank per worker so the engines allocate
+// nothing per query after warm-up. Results come back in input order;
+// per-thread SearchStats are merged into one aggregate at batch end.
 //
 //   bwtk::BatchSearcher batch(searcher, {.num_threads = 8});
 //   std::vector<bwtk::BatchQuery> queries = ...;   // (pattern, k) pairs
 //   bwtk::BatchResult result = batch.Search(queries);
 //   // result.occurrences[i] == serial searcher.Search(queries[i].pattern, k)
 //
-// A BatchSearcher may also be constructed over an *index group* — an ordered
-// list of FM-indexes (typically the shards of a ShardedIndex, see
-// shard/sharded_index.h). The work item is then a (query, index) pair:
-// SearchFanout() runs every query against every index and returns the
-// per-pair hit lists, which is the substrate ShardedBatchSearcher's seam
-// de-duplication is built on. The plain Search() over a group returns the
-// per-query union across indexes (no de-duplication — overlapping indexes
-// will repeat hits; use ShardedBatchSearcher for exact sharded search).
+// Every worker answers a query with one EngineBank::Answer call — the same
+// per-query step serve::Session's workers run — so batch and served search
+// share the result cache, the seam rule and the stats contract. A pool over
+// a ShardedIndex exists only inside ShardedBatchSearcher
+// (shard/sharded_searcher.h), which checks every query's window against the
+// shard overlap first.
 //
 // Thread safety: a BatchSearcher drives its own pool and is NOT itself
 // thread-safe — issue one batch at a time (concurrent Search calls on one
@@ -50,6 +48,9 @@
 #include "util/status.h"
 
 namespace bwtk {
+
+class ShardedBatchSearcher;
+class ShardedIndex;
 
 /// One query of a batch: a pattern and its own mismatch budget.
 struct BatchQuery {
@@ -140,10 +141,6 @@ struct BatchOptions {
   /// Engine knobs for BatchEngine::kSTree.
   STreeOptions stree = {};
 
-  /// Engine knobs for BatchEngine::kDictionary, passed through to every
-  /// worker's DictionarySearcher.
-  DictionaryOptions dictionary = {};
-
   /// Engine knobs for BatchEngine::kBidirectional.
   BidirOptions bidir = {};
 
@@ -157,35 +154,30 @@ struct BatchOptions {
   /// searcher/session.
   std::vector<const BiFmIndex*> bidir_indexes;
 
-  /// Exact-duplicate result cache (search/result_cache.h). When enabled the
-  /// pool consults it per (pattern, k, engine, index version) before
-  /// searching and inserts on miss. Cached entries store the original
-  /// execution's SearchStats, so aggregate stats are identical whether or
-  /// not the cache is warm. Off by default.
+  /// Exact-duplicate result cache (search/result_cache.h). When enabled
+  /// every query is looked up per (resolved engine, k, index version,
+  /// pattern) before searching and inserted on a miss; the version is
+  /// FmIndexVersion for one index, ShardedIndexVersion for a sharded one.
+  /// Cached entries store the original execution's SearchStats and seam
+  /// count, so results and aggregate stats are identical whether or not
+  /// the cache is warm. Off by default.
   ResultCacheOptions result_cache = {};
 
   /// Externally owned cache instance. When set, it is used (and
-  /// result_cache.enabled is ignored) — this is how several pools/sessions
-  /// share one cache, and how a cache survives an index rebuild (stale
-  /// entries miss by version). When null and result_cache.enabled is true,
-  /// the pool creates a private instance.
+  /// result_cache.enabled is ignored) — this is how pools and Sessions over
+  /// the same index share one cache, and how a cache survives an index
+  /// rebuild (stale entries miss by version). When null and
+  /// result_cache.enabled is true, the pool or Session creates a private
+  /// instance shared by its workers.
   std::shared_ptr<ResultCache> result_cache_instance;
-
-  /// ShardedBatchSearcher only: answer k = 0 queries with one FM-index
-  /// point lookup per shard (backward search + locate + the owner-shard
-  /// seam rule) instead of fanning a (query, shard) task per shard through
-  /// the worker pool. Byte-identical hits for every engine — at k = 0 they
-  /// all degenerate to exact matching — but the skipped engine runs
-  /// contribute no SearchStats. Ignored by plain BatchSearcher. Default on.
-  bool sharded_exact_shortcut = true;
 
   /// Per-query tracing (see obs/trace.h). 0 disables tracing entirely — no
   /// sink is created and the query path pays nothing. In (0, 1] each query
   /// is traced with this probability; the decision hashes the stable trace
   /// id `(batch sequence << 32) | task index`, so the sampled subset is
   /// reproducible across runs and independent of thread assignment. (For a
-  /// single-index group the task index is the query index; for a group of S
-  /// indexes it is `query * S + shard`.)
+  /// single index the task index is the query index; over S shards shard s
+  /// of query q traces as `q * S + s`.)
   double trace_sample_rate = 0.0;
 
   /// Slow-query log depth: the sink retains this many of the worst sampled
@@ -197,6 +189,12 @@ struct BatchOptions {
   /// Failures are logged as warnings, never fail the batch.
   std::string trace_out;
 };
+
+/// `options` with result_cache_instance filled in: a new cache when
+/// result_cache.enabled asks for one and no instance was given. A pool or
+/// Session calls this once, so that all of its workers' banks share one
+/// cache.
+BatchOptions WithSharedResultCache(BatchOptions options);
 
 /// Output of one batch: per-query hits in input order + aggregate counters.
 struct BatchResult {
@@ -213,65 +211,79 @@ struct BatchResult {
   uint64_t seam_hits_deduped = 0;
 };
 
-/// Output of BatchSearcher::SearchFanout over an index group of S indexes:
-/// one hit list per (query, index) pair.
-struct BatchFanoutResult {
-  /// occurrences[q * S + s] holds the hits of queries[q] against index s,
-  /// in that index's local coordinates.
-  std::vector<std::vector<Occurrence>> occurrences;
-  /// Sum of every task's SearchStats.
+/// How EngineBank::Answer answered one query.
+struct QueryAnswer {
+  /// Position-sorted hits; global text coordinates over a sharded index.
+  std::vector<Occurrence> hits;
+  /// The query's engine counters, summed over shards. Zero for a sharded
+  /// k = 0 point lookup, which runs no engine.
   SearchStats stats;
+  /// The engine the query ran under: kAuto resolved per query.
+  BatchEngine engine = BatchEngine::kAlgorithmA;
+  /// Seam duplicates discarded by the ownership rule (sharded only).
+  uint64_t seam_hits_deduped = 0;
+  /// True when the result cache answered. `hits`, `stats` and
+  /// `seam_hits_deduped` are the original execution's either way.
+  bool cache_served = false;
 };
 
-/// One worker's bank of search engines over an index group — the
-/// task-granular execution seam under both batch and streaming dispatch.
-/// A bank instantiates one engine per index for the configured
-/// BatchEngine family plus a reusable AlgorithmAScratch, and Run() executes
-/// a single (query, index) task exactly as the serial engine would.
-/// BatchSearcher's pool
-/// workers each own one bank and claim whole-batch task ranges from it;
-/// the serving layer (serve/session.h) gives each long-lived Session
-/// worker one bank and feeds it tickets one at a time. Engines are thin
-/// const views over the shared immutable indexes, so constructing a bank
-/// is cheap and banks on different threads never contend.
+/// One worker's bank of search engines over an index group: one FmIndex,
+/// or the shards of a ShardedIndex. Answer() is THE per-query step —
+/// BatchSearcher's pool workers and serve::Session's workers each own one
+/// bank and call it once per query, so the result-cache key, the sharded
+/// seam rule and the stats contract cannot drift between batch and served
+/// search. Engines are thin const views over the shared immutable indexes,
+/// so constructing a bank is cheap and banks on different threads never
+/// contend.
 ///
-/// Not thread-safe: one bank per worker thread (the scratch is mutable
-/// per-query state).
+/// Not thread-safe: one bank per worker thread (the AlgorithmA scratch is
+/// mutable per-query state). Banks may share one ResultCache.
 class EngineBank {
  public:
-  /// Every index must be non-null and outlive the bank.
-  EngineBank(const std::vector<const FmIndex*>& indexes,
-             const BatchOptions& options);
+  /// `index` must be non-null and outlive the bank. The bank consults
+  /// options.result_cache_instance (BatchSearcher and Session create it from
+  /// options.result_cache so that all their workers share it).
+  EngineBank(const FmIndex* index, const BatchOptions& options);
+
+  /// Sharded group: every shard runs its own engines; Answer() returns
+  /// global coordinates. BatchOptions::bidir_indexes, when set, holds one
+  /// entry per shard in shard order.
+  EngineBank(const ShardedIndex* index, const BatchOptions& options);
+
   ~EngineBank();
   EngineBank(const EngineBank&) = delete;
   EngineBank& operator=(const EngineBank&) = delete;
 
-  /// Runs `query` against index `index_slot` with the configured engine.
-  /// Returns the position-sorted hit list and fills `stats` with the
-  /// engine's per-query counters. A query with
-  /// k < 0 (a decode-failed placeholder) returns empty without searching.
-  /// Under BatchEngine::kDictionary this is the degenerate one-pattern
-  /// form — a single-pattern trie answered by one joint descent — which is
-  /// how ticket-at-a-time callers (serve::Session) run the engine; batch
-  /// callers amortize via RunDictionary.
-  std::vector<Occurrence> Run(const BatchQuery& query, size_t index_slot,
-                              SearchStats* stats);
+  /// Answers `query` under `engine` against the whole group:
+  ///  1. looks it up in the result cache, keyed by the resolved engine and
+  ///     the group's version (FmIndexVersion / ShardedIndexVersion);
+  ///  2. on a miss runs the resolved engine on each index — except that a
+  ///     sharded group answers a k = 0, wildcard-free query with one
+  ///     point lookup per shard (every engine is exact matching there);
+  ///  3. resolves seams with ResolveShardedHits, and inserts the answer.
+  /// Sampled traces go to `sink` (may be null), one per index searched:
+  /// index s traces as `trace_id + s` from worker `thread_index`. A query
+  /// with k < 0 (a decode-failed placeholder) returns empty without
+  /// searching. `engine` must satisfy Supports().
+  QueryAnswer Answer(BatchEngine engine, const BatchQuery& query,
+                     obs::TraceSink* sink = nullptr, uint64_t trace_id = 0,
+                     uint32_t thread_index = 0);
+
+  /// Runs `query` with `engine` (kAuto resolved) against index
+  /// `index_slot` alone — local coordinates, no cache, no seam rule.
+  /// `engine` must satisfy Supports() (kBidirectional without bidir
+  /// indexes is a CHECK failure — callers taking untrusted overrides
+  /// validate with Supports first).
+  std::vector<Occurrence> RunWith(BatchEngine engine, const BatchQuery& query,
+                                  size_t index_slot, SearchStats* stats);
 
   /// BatchEngine::kDictionary only: answers every pattern of `trie` against
   /// index `index_slot` in one joint descent. result[id] answers
-  /// trie.pattern(id), byte-identical to Run() on that pattern alone.
+  /// trie.pattern(id), byte-identical to RunWith on that pattern alone.
   std::vector<std::vector<Occurrence>> RunDictionary(const PatternSetTrie& trie,
                                                      int32_t k,
                                                      size_t index_slot,
                                                      SearchStats* stats);
-
-  /// Runs `query` with `engine` instead of the configured one — the
-  /// substrate of per-ticket engine overrides (serve wire flag) and of
-  /// kAuto. kAuto is Resolve()d internally; `engine` must satisfy
-  /// Supports() (kBidirectional without bidir indexes is a CHECK failure —
-  /// callers taking untrusted overrides validate with Supports first).
-  std::vector<Occurrence> RunWith(BatchEngine engine, const BatchQuery& query,
-                                  size_t index_slot, SearchStats* stats);
 
   /// True when this bank can execute `engine`: always for the five
   /// FmIndex-only engines and kAuto (which degrades to kAlgorithmA),
@@ -285,6 +297,7 @@ class EngineBank {
   /// BatchEngineName(options.engine) — the stable trace/report label.
   std::string_view engine_name() const;
 
+  /// 1 for a single index, the shard count for a sharded group.
   size_t num_indexes() const;
 
  private:
@@ -300,12 +313,6 @@ class BatchSearcher {
   explicit BatchSearcher(const FmIndex* index,
                          const BatchOptions& options = {});
 
-  /// Index-group form: every index must be non-null and outlive the
-  /// BatchSearcher. The group must be non-empty. Work items are
-  /// (query, index) pairs; see SearchFanout.
-  explicit BatchSearcher(std::vector<const FmIndex*> indexes,
-                         const BatchOptions& options = {});
-
   /// Convenience: searches `searcher`'s index. The searcher must outlive
   /// the BatchSearcher.
   explicit BatchSearcher(const KMismatchSearcher& searcher,
@@ -319,16 +326,9 @@ class BatchSearcher {
   BatchSearcher& operator=(const BatchSearcher&) = delete;
 
   /// Runs every query and blocks until the batch is complete. Results are
-  /// in input order; over a single index each equals what the serial engine
-  /// would return for that (pattern, k). Over an index group, each query's
-  /// list is the sorted union of its per-index hits (local coordinates, no
-  /// seam handling). An empty batch returns immediately.
+  /// in input order; each equals what the serial engine would return for
+  /// that (pattern, k). An empty batch returns immediately.
   BatchResult Search(const std::vector<BatchQuery>& queries);
-
-  /// Runs every query against every index of the group and blocks until all
-  /// (query, index) tasks are complete. This is the router substrate:
-  /// ShardedBatchSearcher translates and de-duplicates the per-shard lists.
-  BatchFanoutResult SearchFanout(const std::vector<BatchQuery>& queries);
 
   /// ASCII convenience: same budget `k` for every pattern. Decoding happens
   /// up front on the calling thread; see BatchOptions::fail_fast for how
@@ -339,9 +339,6 @@ class BatchSearcher {
   /// Actual pool size (after resolving num_threads = 0 and clamping).
   int num_threads() const;
 
-  /// Number of indexes in the group (1 for the single-index constructors).
-  size_t num_indexes() const;
-
   /// The trace collector, or nullptr when tracing is disabled
   /// (trace_sample_rate == 0, or the library was built with
   /// -DBWTK_DISABLE_METRICS). Accumulates across batches; read it between
@@ -349,6 +346,18 @@ class BatchSearcher {
   const obs::TraceSink* trace_sink() const;
 
  private:
+  friend class ShardedBatchSearcher;
+
+  // The sharded pool: answers in global coordinates. Only
+  // ShardedBatchSearcher builds one, after its window check.
+  BatchSearcher(const ShardedIndex* index, const BatchOptions& options);
+
+  // Decodes an ASCII batch for `options.engine`. Undecodable patterns fail
+  // the batch (fail_fast) or become k = -1 placeholders counted in *failed.
+  static Result<std::vector<BatchQuery>> DecodeAscii(
+      const BatchOptions& options, const std::vector<std::string>& patterns,
+      int32_t k, size_t* failed);
+
   struct Pool;
   std::unique_ptr<Pool> pool_;
 };

@@ -33,8 +33,7 @@ std::vector<Occurrence> STreeSearch::Search(
     int32_t mismatches;
   };
   std::vector<Frame> stack;
-  const PrefixIntervalTable* table =
-      options_.use_prefix_table ? index_->prefix_table() : nullptr;
+  const PrefixIntervalTable* table = index_->prefix_table();
   const uint32_t q = table ? table->q() : 0;
   if (q > 0 && m >= q && k <= PrefixIntervalTable::kMaxSeedMismatches) {
     // Seed at depth q from the table: the surviving depth-q S-tree states

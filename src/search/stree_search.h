@@ -23,12 +23,6 @@ namespace bwtk {
 struct STreeOptions {
   /// Apply the τ(i) pruning of [34]. Off gives the pure brute-force S-tree.
   bool use_tau = true;
-  /// Seed the enumeration from the index's prefix interval table when one
-  /// is attached (FmIndex::Options::prefix_table_q > 0) and the mismatch
-  /// budget is small enough (PrefixIntervalTable::kMaxSeedMismatches):
-  /// every depth-q S-tree state is produced by table lookups instead of q
-  /// levels of Extend steps. Result-identical either way.
-  bool use_prefix_table = true;
 };
 
 /// Brute-force S-tree search over an FM-index.

@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -126,7 +127,8 @@ struct Server::Impl {
   std::vector<std::thread> finished_readers;
   std::thread acceptor;
   std::thread reaper;
-  std::condition_variable reaper_cv;  // wakes the reaper early on Stop
+  // Wakes the reaper, and an acceptor backing off, early on Stop.
+  std::condition_variable stop_cv;
 
   // --- Per-connection protocol ------------------------------------------
 
@@ -342,7 +344,7 @@ struct Server::Impl {
         std::chrono::milliseconds(50));
     std::unique_lock<std::mutex> lock(mu);
     while (!stopping) {
-      reaper_cv.wait_for(lock, interval);
+      stop_cv.wait_for(lock, interval);
       if (stopping) return;
       const std::vector<std::shared_ptr<Connection>> snapshot = connections;
       lock.unlock();
@@ -376,12 +378,22 @@ struct Server::Impl {
 
   // --- Acceptor ----------------------------------------------------------
 
+  // Runs until Stop(). No accept() error ends it: a full descriptor table
+  // (EMFILE/ENFILE) or a kernel short of buffers clears as connections
+  // close, so the loop backs off and retries; a connection reset before it
+  // was accepted (ECONNABORTED) is simply skipped.
   void AcceptorLoop() {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener closed by Stop
+        const int error = errno;
+        std::unique_lock<std::mutex> lock(mu);
+        if (stopping) return;  // Stop shut the listener down
+        if (error != EINTR && error != ECONNABORTED) {
+          stop_cv.wait_for(lock, std::chrono::milliseconds(10),
+                           [&] { return stopping; });
+        }
+        continue;
       }
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -397,10 +409,16 @@ struct Server::Impl {
       connections.push_back(conn);
       // Inserted under `mu`, which the reader needs before it can park
       // itself, so the entry exists by the time the reader looks for it.
-      const uint64_t id = conn->id;
-      readers.emplace(id, std::thread([this, conn = std::move(conn)]() mutable {
-                        ReaderLoop(std::move(conn));
-                      }));
+      try {
+        readers.emplace(conn->id, std::thread([this, conn]() mutable {
+                          ReaderLoop(std::move(conn));
+                        }));
+      } catch (const std::system_error&) {
+        // No thread for a reader (a thread or memory limit): refuse this
+        // client and keep serving the others.
+        connections.pop_back();
+        ::close(fd);
+      }
     }
   }
 };
@@ -460,14 +478,14 @@ void Server::Stop() {
     impl.stopping = true;
     to_sever = impl.connections;
   }
-  impl.reaper_cv.notify_all();
-  if (impl.listen_fd >= 0) {
-    // shutdown() unblocks a blocked accept(); close() releases the port.
-    ::shutdown(impl.listen_fd, SHUT_RDWR);
-    ::close(impl.listen_fd);
-  }
+  impl.stop_cv.notify_all();
+  // shutdown() unblocks a blocked accept() and fails every later one; the
+  // descriptor is closed (releasing the port) only once the acceptor has
+  // exited, so it can never accept() on a reused descriptor number.
+  if (impl.listen_fd >= 0) ::shutdown(impl.listen_fd, SHUT_RDWR);
   for (const auto& conn : to_sever) conn->Sever();
   if (impl.acceptor.joinable()) impl.acceptor.join();
+  if (impl.listen_fd >= 0) ::close(impl.listen_fd);
   if (impl.reaper.joinable()) impl.reaper.join();
   // The acceptor can no longer add readers: join the parked ones and the
   // ones still running (severed above, so they are on their way out).

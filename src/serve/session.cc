@@ -55,19 +55,12 @@ struct Pending {
 }  // namespace
 
 struct Session::Impl {
-  // Immutable after construction.
-  std::vector<const FmIndex*> indexes;
-  const ShardedIndex* sharded = nullptr;  // non-null for the sharded form
-  SessionOptions options;
+  // Immutable after construction. Exactly one of index / sharded is set.
+  const FmIndex* index = nullptr;
+  const ShardedIndex* sharded = nullptr;
+  SessionOptions options;  // batch.result_cache_instance set iff caching
   int num_threads = 0;
   std::unique_ptr<obs::TraceSink> sink;
-
-  // Exact-duplicate result cache fronting Execute. `cache_version` folds
-  // the per-index content fingerprints (and the index count) into the
-  // single version the ticket-level key carries, so entries from a swapped
-  // or resharded index miss naturally.
-  std::shared_ptr<ResultCache> cache;
-  uint64_t cache_version = 0;
 
   // Everything below is guarded by `mu` except where noted.
   mutable std::mutex mu;
@@ -172,74 +165,31 @@ struct Session::Impl {
   // --- Execution ---------------------------------------------------------
 
   // Runs one claimed ticket outside the lock. The bank belongs to the
-  // calling worker; sharded tickets fan across shards inside this one call.
+  // calling worker; a sharded ticket runs on every shard inside this one
+  // call.
   QueryResult Execute(const Pending& pending, EngineBank* bank, int tid,
                       uint64_t picked_up_ns) {
     QueryResult result;
     result.ticket = pending.ticket;
     result.queue_ns = picked_up_ns - pending.admitted_ns;
     BWTK_METRIC_OBSERVE(kHistServeQueueNanos, result.queue_ns);
-    // Trace labels, cache keys and the served-ticket counter all attribute
-    // to the engine the ticket actually runs under: the effective engine
-    // (configured or override) with kAuto resolved per query.
-    const BatchEngine resolved = bank->Resolve(pending.engine, pending.query);
-    const std::string_view engine_label = BatchEngineName(resolved);
-    result.engine = resolved;
     const uint64_t search_begin_ns = obs::TraceClockNanos();
-    if (cache != nullptr) {
-      ResultCache::Entry cached;
-      if (cache->Lookup(static_cast<uint8_t>(resolved),
-                        pending.query.k, cache_version, pending.query.pattern,
-                        &cached)) {
-        result.hits = std::move(cached.hits);
-        result.stats = cached.stats;
-        result.seam_hits_deduped = cached.seam_hits_deduped;
-        result.cache_served = true;
-        result.search_ns = obs::TraceClockNanos() - search_begin_ns;
-        return result;
-      }
-    }
-    const size_t num_indexes = bank->num_indexes();
-    if (num_indexes == 1) {
-      obs::ScopedQueryTrace qt(sink.get(), pending.ticket,
-                               engine_label, pending.query.k,
-                               pending.query.pattern.size(),
-                               static_cast<uint32_t>(tid), 0);
-      result.hits = bank->RunWith(resolved, pending.query, 0, &result.stats);
-      qt.Finish(result.hits.size(), result.stats);
-    } else {
-      // Sharded: one trace per (ticket, shard) like the batched router,
-      // with the shard in the low bits of the trace id.
-      std::vector<std::vector<Occurrence>> parts(num_indexes);
-      BWTK_METRIC_COUNT_N(kCounterShardQueries, num_indexes);
-      for (size_t s = 0; s < num_indexes; ++s) {
-        SearchStats shard_stats;
-        obs::ScopedQueryTrace qt(
-            sink.get(), pending.ticket * num_indexes + s, engine_label,
-            pending.query.k, pending.query.pattern.size(),
-            static_cast<uint32_t>(tid), static_cast<uint32_t>(s));
-        parts[s] = bank->RunWith(resolved, pending.query, s, &shard_stats);
-        qt.Finish(parts[s].size(), shard_stats);
-        result.stats += shard_stats;
-      }
-      const size_t window = ShardedQueryWindow(pending.query, resolved);
-      result.seam_hits_deduped = ResolveShardedHits(
-          sharded->plan(), window, parts.data(), &result.hits);
-      BWTK_METRIC_COUNT_N(kCounterSeamHitsDeduped, result.seam_hits_deduped);
-    }
-    if (cache != nullptr) {
-      cache->Insert(
-          static_cast<uint8_t>(resolved), pending.query.k,
-          cache_version, pending.query.pattern,
-          ResultCache::Entry{result.hits, result.stats,
-                             result.seam_hits_deduped});
-    }
+    // Shard s of ticket t traces as t * S + s.
+    QueryAnswer answer = bank->Answer(
+        pending.engine, pending.query, sink.get(),
+        pending.ticket * bank->num_indexes(), static_cast<uint32_t>(tid));
+    result.hits = std::move(answer.hits);
+    result.stats = answer.stats;
+    result.engine = answer.engine;
+    result.seam_hits_deduped = answer.seam_hits_deduped;
+    result.cache_served = answer.cache_served;
     result.search_ns = obs::TraceClockNanos() - search_begin_ns;
     return result;
   }
 
   void WorkerLoop(int tid) {
-    EngineBank bank(indexes, options.batch);
+    EngineBank bank = sharded != nullptr ? EngineBank(sharded, options.batch)
+                                         : EngineBank(index, options.batch);
     for (;;) {
       Pending pending;
       {
@@ -332,30 +282,15 @@ struct Session::Impl {
 
   // Finishes construction: all state the workers read must be final before
   // the threads spawn (both public constructors funnel through here).
-  void Start(std::vector<const FmIndex*> index_group,
-             const ShardedIndex* sharded_index, const SessionOptions& opts) {
-    BWTK_CHECK(!index_group.empty());
-    for (const FmIndex* index : index_group) BWTK_CHECK(index != nullptr);
-    indexes = std::move(index_group);
-    sharded = sharded_index;
+  void Start(const SessionOptions& opts) {
     options = opts;
+    options.batch = WithSharedResultCache(opts.batch);
     num_threads = ResolveThreadCount(opts.num_threads);
     if (BWTK_METRICS_ENABLED && opts.batch.trace_sample_rate > 0.0) {
       obs::TraceSinkOptions sink_options;
       sink_options.sample_rate = opts.batch.trace_sample_rate;
       sink_options.slow_trace_count = opts.batch.slow_trace_count;
       sink = std::make_unique<obs::TraceSink>(sink_options);
-    }
-    if (opts.batch.result_cache_instance != nullptr) {
-      cache = opts.batch.result_cache_instance;
-    } else if (opts.batch.result_cache.enabled) {
-      cache = std::make_shared<ResultCache>(opts.batch.result_cache);
-    }
-    if (cache != nullptr) {
-      cache_version = indexes.size();
-      for (const FmIndex* index : indexes) {
-        cache_version = cache_version * 0x100000001b3ULL + FmIndexVersion(*index);
-      }
     }
     workers.reserve(num_threads);
     for (int tid = 0; tid < num_threads; ++tid) {
@@ -367,13 +302,15 @@ struct Session::Impl {
 Session::Session(const FmIndex* index, const SessionOptions& options)
     : impl_(std::make_unique<Impl>()) {
   BWTK_CHECK(index != nullptr);
-  impl_->Start({index}, nullptr, options);
+  impl_->index = index;
+  impl_->Start(options);
 }
 
 Session::Session(const ShardedIndex* index, const SessionOptions& options)
     : impl_(std::make_unique<Impl>()) {
   BWTK_CHECK(index != nullptr);
-  impl_->Start(index->ShardPointers(), index, options);
+  impl_->sharded = index;
+  impl_->Start(options);
 }
 
 Session::~Session() { Shutdown(); }
@@ -565,7 +502,9 @@ bool Session::accepting() const {
 
 int Session::num_threads() const { return impl_->num_threads; }
 
-size_t Session::num_indexes() const { return impl_->indexes.size(); }
+size_t Session::num_indexes() const {
+  return impl_->sharded != nullptr ? impl_->sharded->num_shards() : 1;
+}
 
 BatchEngine Session::engine() const { return impl_->options.batch.engine; }
 

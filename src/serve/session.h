@@ -6,9 +6,9 @@
 // batch, a Session admits queries one at a time into a bounded queue and
 // hands each to the first free worker; callers collect results by ticket
 // (Poll/Wait/WaitFor) or by completion callback. Results are byte-identical
-// to the direct engines: every ticket runs through the same EngineBank task
-// path the BatchSearcher workers use, and sharded Sessions resolve seams
-// with the same ResolveShardedHits ownership rule as ShardedBatchSearcher.
+// to the direct engines: every ticket is one EngineBank::Answer call, the
+// same per-query step the BatchSearcher workers run — one result cache key,
+// one seam rule (ResolveShardedHits), one stats contract.
 //
 //   bwtk::serve::Session session(&index, {.num_threads = 4});
 //   auto ticket = session.Submit({pattern, k});
@@ -75,7 +75,7 @@ struct QueryResult {
   /// see SessionOptions::batch.engine and ShardedQueryWindow).
   Status status = Status::OK();
   /// Hits in text coordinates (global coordinates for a sharded Session),
-  /// position-sorted; byte-identical to the serial engine / sharded router.
+  /// position-sorted; byte-identical to the serial engine and to a batch.
   std::vector<Occurrence> hits;
   /// This query's engine counters (docs/API.md, per-engine stats contract).
   SearchStats stats;
@@ -128,6 +128,8 @@ struct SessionOptions {
   /// `batch.result_cache_instance` front the whole ticket path: an exact
   /// duplicate (pattern, k) against the same index version is served from
   /// the cache without touching a worker engine (QueryResult::cache_served).
+  /// The key is the one BatchSearcher uses, so a cache instance shared
+  /// with a pool over the same index serves repeats across both.
   BatchOptions batch = {};
 };
 
@@ -152,7 +154,7 @@ struct SessionStats {
   // serve_tool clients can see them without scraping HTTP.
   uint64_t result_cache_hits = 0;     ///< exact-duplicate cache hits (L3)
   uint64_t result_cache_misses = 0;   ///< result-cache probes that missed
-  uint64_t shard_exact_shortcuts = 0; ///< sharded k=0 owner-shard answers
+  uint64_t shard_exact_shortcuts = 0; ///< sharded k=0 point lookups
   /// True while the Session admits queries (kServing). The /readyz probe and
   /// remote clients use this to see a drain in progress.
   bool accepting = false;
@@ -165,9 +167,9 @@ class Session {
   /// the Session. Workers start here and idle until the first Submit.
   explicit Session(const FmIndex* index, const SessionOptions& options = {});
 
-  /// Sharded Session: queries fan across `index`'s shards *within one
-  /// worker* (a ticket is one task; shard parallelism comes from concurrent
-  /// tickets) and seams resolve by the owner-shard rule, so results equal
+  /// Sharded Session: a ticket runs on every shard of `index` *within one
+  /// worker* (shard parallelism comes from concurrent tickets) and seams
+  /// resolve by the owner-shard rule, so results equal
   /// ShardedBatchSearcher's — and therefore the monolithic engine's.
   explicit Session(const ShardedIndex* index,
                    const SessionOptions& options = {});

@@ -1,26 +1,10 @@
 #include "shard/sharded_searcher.h"
 
-#include <algorithm>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "obs/metrics.h"
 
 namespace bwtk {
-
-namespace {
-
-// The inner worker pool must not also cache: the router caches at query
-// granularity (merged, global-coordinate results), and double-caching the
-// per-(query, shard) tasks underneath would pay twice for the same skew.
-BatchOptions StripCache(BatchOptions options) {
-  options.result_cache = ResultCacheOptions{};
-  options.result_cache_instance.reset();
-  return options;
-}
-
-}  // namespace
 
 uint64_t ShardedIndexVersion(const ShardedIndex& index) {
   constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -63,187 +47,37 @@ uint64_t ResolveShardedHits(const ShardPlan& plan, size_t window,
   // Shard-order concatenation is position-sorted per shard but the seams
   // interleave; restore the canonical order.
   NormalizeOccurrences(merged);
+  BWTK_METRIC_COUNT_N(kCounterSeamHitsDeduped, deduped);
   return deduped;
 }
 
 ShardedBatchSearcher::ShardedBatchSearcher(const ShardedIndex* index,
                                            const BatchOptions& options)
-    : index_(index),
-      options_(options),
-      batch_(index->ShardPointers(), StripCache(options)) {
-  if (options.result_cache_instance != nullptr) {
-    cache_ = options.result_cache_instance;
-  } else if (options.result_cache.enabled) {
-    cache_ = std::make_shared<ResultCache>(options.result_cache);
-  }
-  if (cache_ != nullptr) cache_version_ = ShardedIndexVersion(*index);
-}
-
-bool ShardedBatchSearcher::ExactShortcutEligible(
-    const BatchQuery& query) const {
-  if (!options_.sharded_exact_shortcut) return false;
-  if (query.k != 0 || query.pattern.empty()) return false;
-  // Wildcard positions (codes outside the DNA alphabet) need the real
-  // engine; a wildcard-free pattern at k = 0 is exact under every engine.
-  for (const DnaCode c : query.pattern) {
-    if (c >= kDnaAlphabetSize) return false;
-  }
-  return true;
-}
-
-uint64_t ShardedBatchSearcher::RunExactShortcut(
-    const BatchQuery& query, std::vector<Occurrence>* merged) const {
-  const ShardPlan& plan = index_->plan();
-  const size_t m = query.pattern.size();
-  std::vector<std::vector<Occurrence>> parts(plan.num_shards());
-  for (size_t s = 0; s < plan.num_shards(); ++s) {
-    const FmIndex& shard = index_->shard(s);
-    const FmIndex::Range range = shard.MatchForward(query.pattern);
-    if (range.empty()) continue;
-    for (const size_t pos : shard.Locate(range, m)) {
-      parts[s].push_back(Occurrence{pos, 0});
-    }
-  }
-  BWTK_METRIC_COUNT(kCounterShardExactShortcuts);
-  return ResolveShardedHits(plan, m, parts.data(), merged);
-}
+    : index_(index), options_(options), batch_(index, options) {}
 
 Result<BatchResult> ShardedBatchSearcher::Search(
     const std::vector<BatchQuery>& queries) {
-  const ShardPlan& plan = index_->plan();
-  const size_t num_shards = plan.num_shards();
+  const size_t overlap = index_->overlap();
   for (size_t q = 0; q < queries.size(); ++q) {
     if (queries[q].k < 0) continue;  // decode-failed placeholder, skipped
     const size_t window = ShardedQueryWindow(queries[q], options_.engine);
-    if (window > plan.overlap()) {
+    if (window > overlap) {
       return Status::InvalidArgument(
           "sharded query " + std::to_string(q) + " needs a window of " +
           std::to_string(window) + " characters but the index overlap is " +
-          std::to_string(plan.overlap()) +
+          std::to_string(overlap) +
           "; rebuild the sharded index with a larger overlap");
     }
   }
-
-  BatchResult result;
-  result.occurrences.resize(queries.size());
-  uint64_t deduped = 0;
-  // Cache keys carry the engine a query actually runs under: under kAuto
-  // that is the per-query pick (the fan-out workers resolve identically),
-  // so kAuto-routed entries are shared with routers pinning the same
-  // engine.
-  const bool bidir_available = !options_.bidir_indexes.empty();
-  const auto engine_id_of = [&](const BatchQuery& query) {
-    const BatchEngine resolved =
-        options_.engine == BatchEngine::kAuto
-            ? AutoPickEngine(query.pattern.size(), query.k, bidir_available)
-            : options_.engine;
-    return static_cast<uint8_t>(resolved);
-  };
-
-  // Dispatch pass, on the calling thread: serve what never needs the pool
-  // (cache hits, k = 0 point lookups), collect the rest for fan-out.
-  std::vector<BatchQuery> fanout_queries;
-  std::vector<size_t> fanout_ids;
-  // In-batch duplicate coalescing (cache-enabled runs only): cache inserts
-  // for k > 0 queries happen after the fan-out, so a duplicate later in the
-  // same batch can never be a cache hit. Fan out the first occurrence of
-  // each (k, pattern) and have later duplicates copy its merged result —
-  // byte-identical, and the duplicate contributes no engine SearchStats,
-  // exactly like a cache-served query.
-  std::unordered_map<std::string, size_t> pending;      // key -> fanout index
-  std::vector<std::pair<size_t, size_t>> followers;     // (query, fanout idx)
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const BatchQuery& query = queries[q];
-    if (query.k < 0) continue;  // slot stays empty, like the plain pool
-    if (cache_ != nullptr) {
-      ResultCache::Entry cached;
-      if (cache_->Lookup(engine_id_of(query), query.k, cache_version_,
-                         query.pattern,
-                         &cached)) {
-        result.occurrences[q] = std::move(cached.hits);
-        deduped += cached.seam_hits_deduped;
-        continue;
-      }
-    }
-    if (ExactShortcutEligible(query)) {
-      const uint64_t q_deduped =
-          RunExactShortcut(query, &result.occurrences[q]);
-      deduped += q_deduped;
-      if (cache_ != nullptr) {
-        cache_->Insert(engine_id_of(query), query.k, cache_version_,
-                       query.pattern,
-                       ResultCache::Entry{result.occurrences[q],
-                                          SearchStats{}, q_deduped});
-      }
-      continue;
-    }
-    if (cache_ != nullptr) {
-      std::string key;
-      key.reserve(query.pattern.size() + sizeof(query.k));
-      key.append(reinterpret_cast<const char*>(&query.k), sizeof(query.k));
-      for (const DnaCode c : query.pattern) {
-        key.push_back(static_cast<char>(c));
-      }
-      const auto [it, inserted] =
-          pending.emplace(std::move(key), fanout_queries.size());
-      if (!inserted) {
-        followers.emplace_back(q, it->second);
-        continue;
-      }
-    }
-    fanout_queries.push_back(query);
-    fanout_ids.push_back(q);
-  }
-
-  if (!fanout_queries.empty()) {
-    std::vector<uint64_t> fanout_deduped(fanout_queries.size(), 0);
-    BWTK_METRIC_COUNT_N(kCounterShardQueries,
-                        fanout_queries.size() * num_shards);
-    BatchFanoutResult fanout = batch_.SearchFanout(fanout_queries);
-    result.stats = fanout.stats;
-    for (size_t i = 0; i < fanout_queries.size(); ++i) {
-      const size_t q = fanout_ids[i];
-      const size_t window = ShardedQueryWindow(queries[q], options_.engine);
-      const uint64_t q_deduped =
-          ResolveShardedHits(plan, window, &fanout.occurrences[i * num_shards],
-                             &result.occurrences[q]);
-      deduped += q_deduped;
-      fanout_deduped[i] = q_deduped;
-      BWTK_METRIC_COUNT_N(kCounterSeamHitsDeduped, q_deduped);
-      if (cache_ != nullptr) {
-        cache_->Insert(engine_id_of(queries[q]), queries[q].k, cache_version_,
-                       queries[q].pattern,
-                       ResultCache::Entry{result.occurrences[q],
-                                          SearchStats{}, q_deduped});
-      }
-    }
-    for (const auto& [q, i] : followers) {
-      result.occurrences[q] = result.occurrences[fanout_ids[i]];
-      deduped += fanout_deduped[i];
-    }
-  }
-  result.seam_hits_deduped = deduped;
-  return result;
+  return batch_.Search(queries);
 }
 
 Result<BatchResult> ShardedBatchSearcher::Search(
     const std::vector<std::string>& patterns, int32_t k) {
-  std::vector<BatchQuery> queries(patterns.size());
   size_t failed = 0;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    auto codes = DecodeBatchPattern(options_.engine, patterns[i]);
-    if (!codes.ok()) {
-      if (options_.fail_fast) {
-        return Status::InvalidArgument("batch query " + std::to_string(i) +
-                                       ": " + codes.status().message());
-      }
-      ++failed;
-      queries[i].k = -1;  // negative budget: the worker skips the task
-      continue;
-    }
-    queries[i].pattern = std::move(codes).value();
-    queries[i].k = k;
-  }
+  BWTK_ASSIGN_OR_RETURN(
+      std::vector<BatchQuery> queries,
+      BatchSearcher::DecodeAscii(options_, patterns, k, &failed));
   BWTK_ASSIGN_OR_RETURN(BatchResult result, Search(queries));
   result.failed_queries = failed;
   return result;

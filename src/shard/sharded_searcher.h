@@ -1,15 +1,16 @@
 // Exact batched search over a ShardedIndex.
 //
-// The router fans every query of a batch across every shard on the
-// BatchSearcher worker pool (one (query, shard) task each), translates the
-// per-shard hits back to global text coordinates, and resolves the seams:
-// a window starting near a core boundary lies in more than one slice and is
-// found by each of them, so every hit is kept only by its *owner* shard —
-// the lowest-numbered shard whose slice contains the whole window
-// (ShardPlan::OwnerShard). The result is byte-identical to running the same
-// engine over one monolithic FmIndex of the whole text, provided every
-// query's window fits the overlap; Search() rejects batches that don't with
-// InvalidArgument rather than silently dropping seam occurrences.
+// A sharded pool answers every query against every shard on one worker
+// (EngineBank::Answer, the same per-query step serve::Session runs),
+// translates the per-shard hits back to global text coordinates, and
+// resolves the seams: a window starting near a core boundary lies in more
+// than one slice and is found by each of them, so every hit is kept only by
+// its *owner* shard — the lowest-numbered shard whose slice contains the
+// whole window (ShardPlan::OwnerShard). The result is byte-identical to
+// running the same engine over one monolithic FmIndex of the whole text,
+// provided every query's window fits the overlap; Search() rejects batches
+// that don't with InvalidArgument rather than silently dropping seam
+// occurrences.
 //
 // The required window length per query is the pattern length for the
 // Hamming engines (kAlgorithmA, kSTree, kWildcard, kDictionary) and
@@ -20,10 +21,11 @@
 // candidate alignment at the position, so its local best is the global
 // best.
 //
-// Observability: fanned-out tasks are counted in the `shard_queries`
-// counter and discarded seam duplicates in `seam_hits_deduped`
-// (docs/OBSERVABILITY.md); per-query traces flow through the inner
-// BatchSearcher's sink with their shard in Trace::shard_id.
+// Observability: searched (query, shard) pairs are counted in the
+// `shard_queries` counter, k = 0 point lookups in `shard_exact_shortcuts`
+// and discarded seam duplicates in `seam_hits_deduped`
+// (docs/OBSERVABILITY.md); per-query traces flow through the pool's sink
+// with their shard in Trace::shard_id.
 
 #ifndef BWTK_SHARD_SHARDED_SEARCHER_H_
 #define BWTK_SHARD_SHARDED_SEARCHER_H_
@@ -52,9 +54,9 @@ size_t ShardedQueryWindow(const BatchQuery& query, BatchEngine engine);
 /// (lowest shard whose slice contains the whole window) reported it, and
 /// normalizes the result to canonical position order. Consumes `parts`
 /// (each list is cleared). Returns the number of seam duplicates
-/// discarded. This is THE seam rule — ShardedBatchSearcher and the
-/// serving layer both route through it, so batch and streamed sharded
-/// results cannot disagree.
+/// discarded, and counts them in `seam_hits_deduped`. This is THE seam
+/// rule — EngineBank::Answer and the sharded dictionary batch both route
+/// through it, so batch and streamed sharded results cannot disagree.
 uint64_t ResolveShardedHits(const ShardPlan& plan, size_t window,
                             std::vector<Occurrence>* parts,
                             std::vector<Occurrence>* merged);
@@ -65,33 +67,14 @@ uint64_t ResolveShardedHits(const ShardPlan& plan, size_t window,
 /// index misses every stale entry.
 uint64_t ShardedIndexVersion(const ShardedIndex& index);
 
-/// Shard router: BatchSearcher fanout + coordinate translation + seam
-/// de-duplication. Same single-batch-at-a-time contract as BatchSearcher.
-///
-/// Two fast paths run on the dispatching thread before any fan-out:
-///
-///  * Result cache (BatchOptions::result_cache): an exact duplicate
-///    (pattern, k) against the same ShardedIndexVersion is answered from
-///    the cache — no shard tasks at all. The cache operates at query (not
-///    per-shard) granularity here, so the inner worker pool runs uncached;
-///    cache-served queries contribute their stored seam counts but no
-///    engine SearchStats (per-query stats are not attributable post-merge).
-///    Duplicates *within* one batch (which the cache cannot serve — k > 0
-///    inserts happen after the fan-out) are coalesced on the dispatching
-///    thread: the first occurrence fans out, later ones copy its merged
-///    result, with the same stats semantics as a cache hit.
-///  * k = 0 point lookups (BatchOptions::sharded_exact_shortcut): every
-///    engine degenerates to exact matching at k = 0, so the router answers
-///    with one backward search + locate per shard and the standard seam
-///    rule instead of a (query, shard) task per shard. Counted in the
-///    `shard_exact_shortcuts` counter.
-///
-/// Both paths return hits byte-identical to the full fan-out.
+/// Sharded batch search: the window check, then a BatchSearcher pool over
+/// the shards. Same single-batch-at-a-time contract as BatchSearcher; the
+/// result cache, the k = 0 point lookups and the seam rule are
+/// EngineBank::Answer's (search/batch_searcher.h).
 class ShardedBatchSearcher {
  public:
   /// `index` must outlive the searcher. The pool (options.num_threads
-  /// workers) starts here; engine selection and tracing knobs in `options`
-  /// apply per (query, shard) task.
+  /// workers) starts here.
   explicit ShardedBatchSearcher(const ShardedIndex* index,
                                 const BatchOptions& options = {});
 
@@ -111,20 +94,9 @@ class ShardedBatchSearcher {
   const obs::TraceSink* trace_sink() const { return batch_.trace_sink(); }
 
  private:
-  // True when `query` can be served by the exact-match point-lookup path.
-  bool ExactShortcutEligible(const BatchQuery& query) const;
-
-  // Answers one eligible k = 0 query: backward search + locate per shard,
-  // then the owner-shard seam rule. Returns the seam duplicates discarded.
-  uint64_t RunExactShortcut(const BatchQuery& query,
-                            std::vector<Occurrence>* merged) const;
-
   const ShardedIndex* index_;  // not owned
   BatchOptions options_;
   BatchSearcher batch_;
-  // Query-granular result cache (see the class comment); null when off.
-  std::shared_ptr<ResultCache> cache_;
-  uint64_t cache_version_ = 0;
 };
 
 }  // namespace bwtk

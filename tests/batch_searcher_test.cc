@@ -281,27 +281,6 @@ TEST(BatchSearcherTest, WildcardEngineMatchesSerialWildcardSearch) {
             serial.Search(decoded.value(), 0));
 }
 
-TEST(BatchSearcherTest, IndexGroupSearchIsPerQueryUnion) {
-  // Two copies of the same index in one group: plain Search must return
-  // each query's hits twice (union semantics, duplicates kept), and the
-  // fanout must slot per-(query, index) results at q * S + s.
-  Workload workload = MakeWorkload(5000, 10, 97);
-  const FmIndex& index = workload.searcher.index();
-  BatchSearcher group(std::vector<const FmIndex*>{&index, &index},
-                      {.num_threads = 3});
-  ASSERT_EQ(group.num_indexes(), 2u);
-  const BatchResult merged = group.Search(workload.queries);
-  const BatchFanoutResult fanout = group.SearchFanout(workload.queries);
-  ASSERT_EQ(fanout.occurrences.size(), workload.queries.size() * 2);
-  for (size_t q = 0; q < workload.queries.size(); ++q) {
-    const auto serial = workload.searcher.Search(workload.queries[q].pattern,
-                                                 workload.queries[q].k);
-    EXPECT_EQ(fanout.occurrences[q * 2], serial);
-    EXPECT_EQ(fanout.occurrences[q * 2 + 1], serial);
-    EXPECT_EQ(merged.occurrences[q].size(), serial.size() * 2);
-  }
-}
-
 TEST(BatchSearcherTest, StressManySmallQueriesSharedIndex) {
   // ThreadSanitizer target: a large batch of small queries over one shared
   // index with more workers than cores, repeated so workers cross batch
@@ -428,17 +407,17 @@ TEST(BatchSearcherTest, AutoEngineMatchesAlgorithmAWithAndWithoutBidir) {
 
 TEST(BatchSearcherTest, EngineBankSupportsResolveAndRunWith) {
   BidirWorkload workload = MakeBidirWorkload(6000, 1, 139);
-  const std::vector<const FmIndex*> indexes = {&workload.searcher.index()};
+  const FmIndex* index = &workload.searcher.index();
 
   BatchOptions plain;
-  EngineBank bank_without(indexes, plain);
+  EngineBank bank_without(index, plain);
   EXPECT_TRUE(bank_without.Supports(BatchEngine::kAlgorithmA));
   EXPECT_TRUE(bank_without.Supports(BatchEngine::kAuto));
   EXPECT_FALSE(bank_without.Supports(BatchEngine::kBidirectional));
 
   BatchOptions with_bidir;
   with_bidir.bidir_indexes = {&workload.bidir};
-  EngineBank bank(indexes, with_bidir);
+  EngineBank bank(index, with_bidir);
   EXPECT_TRUE(bank.Supports(BatchEngine::kBidirectional));
 
   // Resolve: identity for concrete engines, AutoPickEngine for kAuto.

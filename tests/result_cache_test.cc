@@ -1,6 +1,7 @@
 // Result cache (search/result_cache.h): LRU mechanics under a byte
-// budget, version-fingerprint invalidation across index rebuilds, and the
-// cache-on/cache-off byte-identity contract through BatchSearcher.
+// budget, version-fingerprint invalidation across index rebuilds, the
+// cache-on/cache-off byte-identity contract through BatchSearcher, and one
+// cache shared by a pool and a Session over the same index.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,9 @@
 #include "bwt/fm_index.h"
 #include "search/batch_searcher.h"
 #include "search/result_cache.h"
+#include "serve/session.h"
+#include "shard/sharded_index.h"
+#include "shard/sharded_searcher.h"
 #include "simulate/genome_generator.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -186,6 +190,62 @@ TEST(ResultCacheTest, RebuildInvalidatesByVersionNotByFlush) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(again_a.occurrences[i], from_a.occurrences[i]) << "query " << i;
   }
+}
+
+// Submits `queries` all at once to a Session over `index` that shares
+// `options`' cache with the pool that produced `expected`: every ticket must
+// be a cache hit carrying the pool's hits.
+template <typename Index>
+void ExpectSessionServedFromSharedCache(const Index* index,
+                                        const BatchOptions& options,
+                                        const std::vector<BatchQuery>& queries,
+                                        const BatchResult& expected) {
+  serve::SessionOptions session_options;
+  session_options.num_threads = 2;
+  session_options.batch = options;
+  serve::Session session(index, session_options);
+  std::vector<serve::Ticket> tickets;
+  for (const BatchQuery& query : queries) {
+    tickets.push_back(session.Submit(query).value());
+  }
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const auto result = session.Wait(tickets[i]);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->cache_served) << "query " << i;
+    EXPECT_EQ(result->hits, expected.occurrences[i]) << "query " << i;
+  }
+}
+
+TEST(ResultCacheTest, PoolAndSessionShareOneCacheMonolithic) {
+  const auto genome = TestGenome(8000, 31);
+  const auto index = FmIndex::Build(genome).value();
+  const std::vector<BatchQuery> queries = MakeQueries(genome, 16, 37);
+  BatchOptions options;
+  options.num_threads = 2;
+  options.result_cache_instance =
+      std::make_shared<ResultCache>(ResultCacheOptions{.enabled = true});
+  BatchSearcher pool(&index, options);
+  const BatchResult expected = pool.Search(queries);
+  ExpectSessionServedFromSharedCache(&index, options, queries, expected);
+  EXPECT_EQ(options.result_cache_instance->Stats().hits, queries.size());
+}
+
+TEST(ResultCacheTest, PoolAndSessionShareOneCacheSharded) {
+  const auto genome = TestGenome(8000, 41);
+  ShardedIndexOptions shard_options;
+  shard_options.num_shards = 3;
+  shard_options.overlap = 48;
+  const auto sharded = ShardedIndex::Build(genome, shard_options).value();
+  const std::vector<BatchQuery> queries = MakeQueries(genome, 16, 43);
+  BatchOptions options;
+  options.num_threads = 2;
+  options.result_cache_instance =
+      std::make_shared<ResultCache>(ResultCacheOptions{.enabled = true});
+  ShardedBatchSearcher pool(&sharded, options);
+  const auto expected = pool.Search(queries);
+  ASSERT_TRUE(expected.ok());
+  ExpectSessionServedFromSharedCache(&sharded, options, queries, *expected);
+  EXPECT_EQ(options.result_cache_instance->Stats().hits, queries.size());
 }
 
 }  // namespace

@@ -2,13 +2,17 @@
 // results against the direct engine, pipelined out-of-order completion,
 // connection-level admission control, protocol-violation handling, the
 // stats round-trip, and connection churn. Servers bind 127.0.0.1 port 0
-// (kernel-assigned), so these run anywhere without port coordination.
+// (kernel-assigned), so these run anywhere without port coordination. One
+// case squeezes this process's own descriptor limit (never more than a few
+// dozen connections).
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <malloc.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -440,6 +444,85 @@ TEST(ServeNetTest, PerQueryEngineOverrideOverTcp) {
       EXPECT_EQ(response->hits, expected) << "query " << i;
     }
   }
+}
+
+// Sends HELLO on a fresh raw connection and waits up to `timeout` for the
+// HELLO_ACK frame (a Client would block forever on a server that never
+// accepts). False when the connection fails or no ACK arrives in time.
+bool HandshakeWithin(uint16_t port, std::chrono::milliseconds timeout) {
+  const int fd = RawConnect(port);
+  if (fd < 0) return false;
+  std::string hello;
+  serve::AppendHelloFrame(&hello);
+  bool acked = false;
+  if (::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(hello.size())) {
+    serve::FrameReader reader;
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    char buffer[256];
+    while (!acked) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd readable{fd, POLLIN, 0};
+      if (left.count() <= 0 ||
+          ::poll(&readable, 1, static_cast<int>(left.count())) <= 0) {
+        break;
+      }
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      if (n <= 0) break;
+      reader.Feed(buffer, static_cast<size_t>(n));
+      const auto frame = reader.Next();
+      if (!frame.ok()) break;
+      acked = frame->has_value() &&
+              (*frame)->type == serve::FrameType::kHelloAck;
+    }
+  }
+  ::close(fd);
+  return acked;
+}
+
+TEST(ServeNetTest, AcceptorSurvivesDescriptorExhaustion) {
+  // accept() failing with EMFILE must not end accepting for good. The test
+  // opens 20 client sockets, then lowers its own RLIMIT_NOFILE to the
+  // lowest free descriptor: every socket() took the lowest free one, so
+  // the table is full and the server cannot accept any of the 20
+  // connections. Closing the clients frees it again.
+  NetFixture fixture = MakeNetFixture(8000, 1, 239);
+  Session session(&fixture.index, {.num_threads = 1});
+  ServerOptions options;
+  options.listen_backlog = 32;  // every client's handshake completes
+  Server server(&session, options);
+  ASSERT_TRUE(server.Start().ok());
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  std::vector<int> clients;
+  for (int i = 0; i < 20; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    clients.push_back(fd);
+  }
+  const int next_free = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(next_free, 0);
+  ::close(next_free);
+  rlimit full = saved;
+  full.rlim_cur = static_cast<rlim_t>(next_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &full), 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  for (const int fd : clients) {
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+  }
+  // Give the acceptor time to run into the full table.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (const int fd : clients) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_TRUE(HandshakeWithin(server.port(), std::chrono::seconds(5)))
+      << "the listener stopped accepting after EMFILE";
 }
 
 TEST(ServeNetTest, UnavailableEngineOverrideAnswersInvalidArgument) {

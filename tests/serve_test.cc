@@ -15,6 +15,7 @@
 #include "search/algorithm_a.h"
 #include "search/kerror_search.h"
 #include "bidir/bi_fm_index.h"
+#include "obs/metrics.h"
 #include "serve/session.h"
 #include "serve/wire.h"
 #include "shard/sharded_index.h"
@@ -278,15 +279,18 @@ TEST(ServeSessionTest, ShardedSessionMatchesMonolithicEngine) {
   const AlgorithmA serial(&mono_index);
   Session session(&sharded, {.num_threads = 3});
   ASSERT_EQ(session.num_indexes(), 4u);
+  const uint64_t lookups_before = session.Stats().shard_exact_shortcuts;
   AlgorithmAScratch scratch;
   std::vector<Ticket> tickets;
   std::vector<BatchQuery> queries;
+  uint64_t exact_tickets = 0;
   for (size_t i = 0; i < 30; ++i) {
     const size_t m = 10 + rng.NextBounded(10);
     const size_t pos = rng.NextBounded(text.size() - m);
     BatchQuery query;
     query.pattern.assign(text.begin() + pos, text.begin() + pos + m);
     query.k = static_cast<int32_t>(rng.NextBounded(3));
+    exact_tickets += query.k == 0;
     tickets.push_back(session.Submit(query).value());
     queries.push_back(std::move(query));
   }
@@ -298,6 +302,12 @@ TEST(ServeSessionTest, ShardedSessionMatchesMonolithicEngine) {
         serial.Search(queries[i].pattern, queries[i].k, nullptr, &scratch);
     NormalizeOccurrences(&expected);
     EXPECT_EQ(result->hits, expected) << "query " << i;
+  }
+  // Served k = 0 tickets take the same per-shard point lookup as batches.
+  ASSERT_GT(exact_tickets, 0u);
+  if (BWTK_METRICS_ENABLED) {
+    EXPECT_EQ(session.Stats().shard_exact_shortcuts - lookups_before,
+              exact_tickets);
   }
   // A pattern longer than the overlap is rejected at Submit, not served
   // wrong.

@@ -2,7 +2,7 @@
 // exactness of sharded search against the monolithic index (the seam fuzz —
 // reads planted to straddle every core boundary), and the manifest's
 // save/load/corruption behavior. The stress case is a ThreadSanitizer
-// target: many queries fanned across many shards on many workers.
+// target: many queries over many shards on many workers.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "bidir/bi_fm_index.h"
 #include "bwt/fm_index.h"
+#include "obs/metrics.h"
 #include "search/batch_searcher.h"
 #include "shard/shard_plan.h"
 #include "shard/sharded_index.h"
@@ -272,10 +273,11 @@ TEST(ShardedSearchTest, AsciiBatchCountsFailedQueries) {
 }
 
 TEST(ShardedSearchTest, ExactShortcutByteIdenticalToFullFanout) {
-  // k = 0 point lookups take the dispatch-thread shortcut (one backward
-  // search + locate per shard) instead of fanning (query, shard) tasks.
-  // The hits must be byte-identical either way, including across seams.
+  // k = 0 queries take the point lookup (one backward search + locate per
+  // shard) instead of an engine run per shard. The hits must be
+  // byte-identical to the monolithic engine's, including across seams.
   const auto genome = TestGenome(12000, 139);
+  const auto mono_index = FmIndex::Build(genome).value();
   ShardedIndexOptions shard_options;
   shard_options.num_shards = 4;
   shard_options.overlap = 48;
@@ -291,21 +293,33 @@ TEST(ShardedSearchTest, ExactShortcutByteIdenticalToFullFanout) {
     queries.push_back({SampleWithFlips(genome, pos, len, 2, &rng), 2});
   }
 
-  BatchOptions with_shortcut;
-  with_shortcut.num_threads = 2;
-  BatchOptions without_shortcut;
-  without_shortcut.num_threads = 2;
-  without_shortcut.sharded_exact_shortcut = false;
-  ShardedBatchSearcher fast(&sharded, with_shortcut);
-  ShardedBatchSearcher slow(&sharded, without_shortcut);
-  const auto fast_result = fast.Search(queries);
-  const auto slow_result = slow.Search(queries);
-  ASSERT_TRUE(fast_result.ok() && slow_result.ok());
+  uint64_t exact_queries = 0;
+  for (const BatchQuery& query : queries) exact_queries += query.k == 0;
+
+  BatchOptions options;
+  options.num_threads = 2;
+  BatchSearcher mono(&mono_index, options);
+  ShardedBatchSearcher router(&sharded, options);
+  const uint64_t lookups_before =
+      obs::MetricsRegistry::Instance()
+          .Snapshot()
+          .counters[obs::kCounterShardExactShortcuts];
+  const BatchResult expected = mono.Search(queries);
+  const auto actual = router.Search(queries);
+  ASSERT_TRUE(actual.ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(fast_result->occurrences[i], slow_result->occurrences[i])
+    EXPECT_EQ(actual->occurrences[i], expected.occurrences[i])
         << "query " << i << " k=" << queries[i].k;
   }
-  EXPECT_EQ(fast_result->seam_hits_deduped, slow_result->seam_hits_deduped);
+  // The seam-straddling reads are found by two shards each.
+  EXPECT_GT(actual->seam_hits_deduped, 0u);
+  if (BWTK_METRICS_ENABLED) {
+    EXPECT_EQ(obs::MetricsRegistry::Instance()
+                      .Snapshot()
+                      .counters[obs::kCounterShardExactShortcuts] -
+                  lookups_before,
+              exact_queries);
+  }
 }
 
 TEST(ShardedSearchTest, ResultCacheServesRepeatsBeforeFanout) {
@@ -340,8 +354,9 @@ TEST(ShardedSearchTest, ResultCacheServesRepeatsBeforeFanout) {
     EXPECT_EQ(warm->occurrences[i], expected->occurrences[i]) << "query " << i;
   }
   // The warm pass was answered from the cache — including the stored seam
-  // counts, which must match the cold pass exactly.
+  // counts and engine stats, which must match the cold pass exactly.
   EXPECT_EQ(warm->seam_hits_deduped, cold->seam_hits_deduped);
+  EXPECT_EQ(warm->stats, cold->stats);
   const ResultCache::CacheStats stats =
       options.result_cache_instance->Stats();
   EXPECT_GE(stats.hits, queries.size());

@@ -31,16 +31,6 @@ array of {checkpoint_rate, kernel, rank_ns, rankall_ns, iters} covering
 at least 3 distinct checkpoint rates and at least the two always-available
 kernels (scalar, word64). The grid floor does not apply.
 
-bench_serve: checks the serving-layer schema (docs/SERVING.md) — a
-'workload' object plus 'runs' whose engine is serve_inproc or serve_tcp
-and whose 'threads' field is the closed-loop client count (the
-bench_diff match key is shared with bench_report runs). In-process runs
-must carry aggregated SearchStats and queue-wait quantiles; TCP runs may
-omit stats (the wire does not carry them). Closed-loop runs must report
-rejected_overloaded == 0, and total_hits for one (genome, k) cell must
-agree across every transport and client count — the served answer may
-not depend on how it was asked for.
-
 bench_dictionary: checks the dictionary-engine schema (docs/DICTIONARY.md)
 — a 'workload' object plus 'runs' whose engine is dictionary or
 algorithm_a, paired per cell: total_hits for one (genome, k) cell (the
@@ -123,25 +113,6 @@ MEASUREMENT_FIELDS = {
     "rank_ns": NUM,
     "rankall_ns": NUM,
     "iters": UINT,
-}
-
-SERVE_ENGINES = ("serve_inproc", "serve_tcp")
-
-# A bench_serve run: 'threads' is the closed-loop client count (the
-# bench_diff match key is shared with bench_report runs).
-SERVE_RUN_FIELDS = {
-    "genome": str,
-    "genome_length": UINT,
-    "read_length": UINT,
-    "read_count": UINT,
-    "k": UINT,
-    "engine": str,
-    "threads": UINT,
-    "session_threads": UINT,
-    "wall_seconds": NUM,
-    "reads_per_second": NUM,
-    "total_hits": UINT,
-    "rejected_overloaded": UINT,
 }
 
 REUSE_ENGINES = (
@@ -370,9 +341,6 @@ class Validator:
             return
         if doc.get("created_by") == "bench_rank_kernel":
             self.validate_rank_kernel(doc)
-            return
-        if doc.get("created_by") == "bench_serve":
-            self.validate_serve(doc)
             return
         if doc.get("created_by") == "bench_dictionary":
             self.validate_dictionary(doc)
@@ -728,115 +696,6 @@ class Validator:
                 "$.runs",
                 f"need >= 3 distinct k values, got {sorted(k_values)}",
             )
-
-    def validate_serve(self, doc):
-        self.require(
-            doc,
-            "$",
-            {
-                "schema_version": UINT,
-                "name": str,
-                "created_by": str,
-                "smoke": bool,
-                "scale": NUM,
-                "hardware": dict,
-                "workload": dict,
-                "runs": list,
-            },
-        )
-        if doc.get("schema_version") != 1:
-            self.error("$", f"unsupported schema_version {doc.get('schema_version')}")
-
-        hardware = doc.get("hardware", {})
-        if isinstance(hardware, dict):
-            self.require(
-                hardware,
-                "$.hardware",
-                {"hardware_concurrency": UINT, "metrics_compiled_in": bool},
-            )
-
-        workload = doc.get("workload", {})
-        if isinstance(workload, dict):
-            self.require(
-                workload,
-                "$.workload",
-                {
-                    "genome": str,
-                    "genome_length": UINT,
-                    "read_length": UINT,
-                    "read_count": UINT,
-                    "session_threads": UINT,
-                },
-            )
-
-        # total_hits for a given (genome, k) must agree across every
-        # transport and client count: the workload is fixed, so a
-        # divergence means the serving layer changed the answer.
-        hits_by_cell = {}
-        transports = set()
-        for i, run in enumerate(doc.get("runs", [])):
-            where = f"$.runs[{i}]"
-            if not isinstance(run, dict):
-                self.error(where, "must be an object")
-                continue
-            if not self.require(run, where, SERVE_RUN_FIELDS):
-                continue
-            if run["engine"] not in SERVE_ENGINES:
-                self.error(
-                    where,
-                    f"engine '{run['engine']}' not one of {list(SERVE_ENGINES)}",
-                )
-                continue
-            if run["threads"] < 1:
-                self.error(where, "'threads' (client count) must be >= 1")
-            if run["wall_seconds"] < 0:
-                self.error(where, "'wall_seconds' must be non-negative")
-            if run["rejected_overloaded"] != 0:
-                self.error(
-                    where,
-                    "closed-loop runs must not shed load "
-                    f"(rejected_overloaded = {run['rejected_overloaded']})",
-                )
-            # stats is required on in-process runs (the session returns
-            # per-query SearchStats); the wire does not carry stats, so
-            # serve_tcp runs legitimately omit it.
-            if run["engine"] == "serve_inproc":
-                stats = run.get("stats")
-                if not isinstance(stats, dict):
-                    self.error(where, "engine 'serve_inproc' requires 'stats'")
-                else:
-                    for field in STATS_FIELDS:
-                        value = stats.get(field)
-                        if not isinstance(value, int) or isinstance(value, bool):
-                            self.error(
-                                f"{where}.stats",
-                                f"'{field}' must be a non-negative integer",
-                            )
-                for field in (
-                    "queue_p50_nanos",
-                    "queue_p95_nanos",
-                    "queue_p99_nanos",
-                ):
-                    value = run.get(field)
-                    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                        self.error(
-                            where,
-                            f"engine 'serve_inproc' requires non-negative "
-                            f"integer '{field}'",
-                        )
-            transports.add(run["engine"])
-            cell = (run["genome"], run["k"])
-            if cell in hits_by_cell and hits_by_cell[cell] != run["total_hits"]:
-                self.error(
-                    where,
-                    f"total_hits {run['total_hits']} disagrees with another "
-                    f"run of genome '{cell[0]}' k={cell[1]} "
-                    f"({hits_by_cell[cell]}) — served answers must not "
-                    "depend on transport or client count",
-                )
-            hits_by_cell.setdefault(cell, run["total_hits"])
-        if "serve_inproc" not in transports:
-            self.error("$.runs", "engine 'serve_inproc' missing (always runs)")
 
     def validate_rank_kernel(self, doc):
         self.require(
