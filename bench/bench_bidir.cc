@@ -73,9 +73,6 @@ int Run(int argc, char** argv) {
   // Timing repetitions per cell; fixed constants so the work counters a
   // fresh run reports are reproducible against the committed baseline.
   const int iters = smoke ? 1 : 2;
-  // Every engine gets the q-gram seed tables it knows how to use; the
-  // BiFmIndex builds the paired forward/reverse tables from one option.
-  const uint32_t prefix_table_q = 8;
 
   PrintBanner(
       "bench_bidir: search schemes vs enumeration head-to-head -> BENCH_" +
@@ -84,9 +81,10 @@ int Run(int argc, char** argv) {
           std::to_string(read_count) + " reads per cell");
 
   const auto genome = MakeGenome(genome_length);
-  BiFmIndex::Options options;
-  options.prefix_table_q = prefix_table_q;
-  const auto bi = BiFmIndex::Build(genome, options).value();
+  // The BiFmIndex tables both halves at its own q, and Algorithm A and the
+  // S-tree enumeration seed from the forward half's table, so every engine
+  // gets the q-gram seeds it knows how to use.
+  const auto bi = BiFmIndex::Build(genome).value();
   const BidirectionalSearch bidir(&bi);
   const AlgorithmA serial(&bi.forward());
   const STreeSearch stree(&bi.forward());
@@ -120,7 +118,7 @@ int Run(int argc, char** argv) {
       .Key("read_count")
       .Value(static_cast<uint64_t>(read_count))
       .Key("prefix_table_q")
-      .Value(static_cast<uint64_t>(prefix_table_q))
+      .Value(static_cast<uint64_t>(bi.forward().prefix_table_q()))
       .EndObject();
   json.Key("runs").BeginArray();
 

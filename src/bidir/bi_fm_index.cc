@@ -1,6 +1,7 @@
 #include "bidir/bi_fm_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <future>
 #include <istream>
@@ -39,13 +40,61 @@ uint64_t PairChecksum(uint64_t text_size, uint64_t fwd_version,
   return h;
 }
 
+// A q-gram occurs as often read left to right as read right to left, so the
+// forward table's range for a key and the reverse table's range for the
+// digit-reversed key have the same width.
+bool SeedTablesAgree(const PrefixIntervalTable& fwd,
+                     const PrefixIntervalTable& rev) {
+  const uint32_t q = fwd.q();
+  for (uint64_t key = 0; key < PrefixIntervalTable::KeyCount(q); ++key) {
+    SaIndex flo = 0, fhi = 0, rlo = 0, rhi = 0;
+    fwd.Lookup(key, &flo, &fhi);
+    rev.Lookup(BiFmIndex::ReverseKey(key, q), &rlo, &rhi);
+    if (fhi - flo != rhi - rlo) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 BiFmIndex::BiFmIndex(FmIndex fwd, FmIndex rev)
     : fwd_(std::move(fwd)), rev_(std::move(rev)) {}
 
+uint32_t BiFmIndex::SeedTableQ(size_t text_size) {
+  if (text_size == 0) return 0;
+  const uint32_t log4 =
+      static_cast<uint32_t>(std::bit_width(text_size) - 1) / 2;
+  return log4 < 2 ? 0 : std::min(PrefixIntervalTable::kMaxQ, log4 - 1);
+}
+
+Status BiFmIndex::FitSeedTables() {
+  const uint32_t q = SeedTableQ(text_size());
+  bool kept = false;
+  for (FmIndex* half : {&fwd_, &rev_}) {
+    if (half->prefix_table_q() == q) {
+      kept = true;
+    } else {
+      BWTK_RETURN_IF_ERROR(half->RebuildPrefixTable(q));
+    }
+  }
+  // A kept table may come from a file. Its loader checked the entries'
+  // bounds and width sum, which two swapped entries still pass; a table
+  // built here needs no check.
+  if (kept && q > 0 &&
+      !SeedTablesAgree(*fwd_.prefix_table(), *rev_.prefix_table())) {
+    return Status::Corruption(
+        "bidirectional index seed tables disagree on a q-gram's count");
+  }
+  return Status::OK();
+}
+
 Result<BiFmIndex> BiFmIndex::Build(const std::vector<DnaCode>& text,
                                    const Options& options) {
+  if (options.prefix_table_q != 0) {
+    return Status::InvalidArgument(
+        "BiFmIndex picks its own prefix_table_q (SeedTableQ of the text "
+        "length); leave Options::prefix_table_q at 0");
+  }
   // The reverse half indexes `text` as given (its BWT is that of text$) on a
   // second thread while this one builds the forward half. The future joins
   // that thread on every path out, and get() rethrows what it threw.
@@ -56,18 +105,29 @@ Result<BiFmIndex> BiFmIndex::Build(const std::vector<DnaCode>& text,
   Result<FmIndex> rev = rev_build.get();
   if (!fwd.ok()) return fwd.status();
   if (!rev.ok()) return rev.status();
-  return BiFmIndex(std::move(fwd).value(), std::move(rev).value());
+  // Both suffix sorts have returned and freed their scratch, so the tables
+  // sit under the build's memory peak.
+  BiFmIndex index(std::move(fwd).value(), std::move(rev).value());
+  BWTK_RETURN_IF_ERROR(index.FitSeedTables());
+  return index;
 }
 
 Result<BiFmIndex> BiFmIndex::FromForward(FmIndex forward) {
-  // The forward half's BWT is that of reverse(text)$: inverting it yields
-  // reverse(text), and reversing that in place gives the text the reverse
-  // half indexes.
-  std::vector<DnaCode> text = InvertBwt(forward.bwt());
-  std::reverse(text.begin(), text.end());
-  BWTK_ASSIGN_OR_RETURN(FmIndex rev,
-                        FmIndex::BuildOver(text, forward.options()));
-  return BiFmIndex(std::move(forward), std::move(rev));
+  Options options = forward.options();
+  options.prefix_table_q = 0;
+  Result<FmIndex> rev = [&] {
+    // The forward half's BWT is that of reverse(text)$: inverting it yields
+    // reverse(text), and reversing that in place gives the text the reverse
+    // half indexes.
+    std::vector<DnaCode> text = InvertBwt(forward.bwt());
+    std::reverse(text.begin(), text.end());
+    return FmIndex::BuildOver(text, options);
+  }();
+  if (!rev.ok()) return rev.status();
+  // The text is freed, so the tables sit under the reverse build's peak.
+  BiFmIndex index(std::move(forward), std::move(rev).value());
+  BWTK_RETURN_IF_ERROR(index.FitSeedTables());
+  return index;
 }
 
 Status BiFmIndex::Save(std::ostream& out) const {
@@ -119,7 +179,9 @@ Result<BiFmIndex> BiFmIndex::Load(std::istream& in) {
       PairChecksum(text_size, FmIndexVersion(fwd), FmIndexVersion(rev))) {
     return Status::Corruption("bidirectional index checksum mismatch");
   }
-  return BiFmIndex(std::move(fwd), std::move(rev));
+  BiFmIndex index(std::move(fwd), std::move(rev));
+  BWTK_RETURN_IF_ERROR(index.FitSeedTables());
+  return index;
 }
 
 Status BiFmIndex::SaveToFile(const std::string& path) const {

@@ -61,8 +61,9 @@ struct BiFmIndexFormat {
 
 class BiFmIndex {
  public:
-  /// Both halves are built with the same options (checkpoint rate, SA
-  /// sample rate, prefix-table q, rank kernel).
+  /// Both halves are built with the same checkpoint rate, SA sample rate and
+  /// rank kernel. `prefix_table_q` must stay 0: the index picks the q of its
+  /// seed tables itself (SeedTableQ).
   using Options = FmIndex::Options;
 
   /// A synchronized pair of row intervals, one per half, representing the
@@ -77,7 +78,9 @@ class BiFmIndex {
 
   /// Indexes `text` and reverse(text). The two halves are built at once on
   /// two threads (this one and one it starts and joins), so the wall time
-  /// is about that of one FmIndex::Build and the memory that of two.
+  /// is about that of one FmIndex::Build and the memory that of two. Then
+  /// both halves get their seed tables. InvalidArgument when
+  /// options.prefix_table_q is not 0.
   static Result<BiFmIndex> Build(const std::vector<DnaCode>& text,
                                  const Options& options);
   static Result<BiFmIndex> Build(const std::vector<DnaCode>& text) {
@@ -86,8 +89,17 @@ class BiFmIndex {
 
   /// Upgrade path from an existing forward index (e.g. a monolithic index
   /// file on disk): reconstructs the indexed text by inverting the BWT and
-  /// builds the reverse half with the forward half's options.
+  /// builds the reverse half with the forward half's options. A forward
+  /// table at another q than SeedTableQ is replaced; one at SeedTableQ is
+  /// kept once it agrees with the new reverse table (else Corruption).
   static Result<BiFmIndex> FromForward(FmIndex forward);
+
+  /// q of the q-gram tables (bwt/prefix_table.h) that every BiFmIndex
+  /// carries on both halves to seed its scheme walks:
+  /// min(PrefixIntervalTable::kMaxQ, floor(log4 n) - 1) for a text of n
+  /// symbols, and 0 (no tables) when that is below 1. A table costs 8 * 4^q
+  /// bytes, so at most 2 bytes per base per half.
+  static uint32_t SeedTableQ(size_t text_size);
 
   size_t text_size() const { return fwd_.text_size(); }
   size_t rows() const { return fwd_.rows(); }
@@ -185,6 +197,8 @@ class BiFmIndex {
 
   // --- Serialization ------------------------------------------------------
   // Both halves plus a checksum under the "BWTB" magic (BiFmIndexFormat).
+  // Load keeps seed tables saved at SeedTableQ, once the two agree on every
+  // q-gram's count, and builds the ones that are missing or at another q.
   Status Save(std::ostream& out) const;
   static Result<BiFmIndex> Load(std::istream& in);
   Status SaveToFile(const std::string& path) const;
@@ -192,6 +206,11 @@ class BiFmIndex {
 
  private:
   BiFmIndex(FmIndex fwd, FmIndex rev);
+
+  /// Gives both halves a seed table at SeedTableQ(text_size()), building
+  /// each one that is missing or at another q. Corruption when a table it
+  /// keeps disagrees with the other half's on some q-gram's count.
+  Status FitSeedTables();
 
   FmIndex fwd_;
   FmIndex rev_;

@@ -119,13 +119,14 @@ void BidirectionalSearch::ExecuteSearch(const std::vector<DnaCode>& pattern,
   // depth-q states of this search are exactly the non-empty co-ranges of
   // the length-q strings within Hamming distance upper[0] of the piece's
   // q-prefix, looked up forward-keyed in the forward table and
-  // reverse-keyed in the reverse table.
+  // reverse-keyed in the reverse table. Every BiFmIndex tables both halves
+  // at one q.
   const PrefixIntervalTable* fwd_table = index_->forward().prefix_table();
   const PrefixIntervalTable* rev_table = index_->reverse().prefix_table();
   const uint32_t q = fwd_table ? fwd_table->q() : 0;
+  BWTK_DCHECK(q == 0 || (rev_table != nullptr && rev_table->q() == q));
   const bool seedable =
-      q > 0 && rev_table != nullptr && rev_table->q() == q &&
-      first_len >= q &&
+      q > 0 && first_len >= q &&
       search.upper[0] <= PrefixIntervalTable::kMaxSeedMismatches;
   if (seedable) {
     uint64_t table_hits = 0;

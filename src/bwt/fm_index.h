@@ -43,10 +43,12 @@ class FmIndex {
     uint32_t checkpoint_rate = OccTable::kDefaultCheckpointRate;
     /// Suffix-array sample spacing (every rate-th text position).
     uint32_t sa_sample_rate = 8;
-    /// q-gram size of the precomputed prefix interval table (0 = no table;
-    /// max PrefixIntervalTable::kMaxQ). A table costs 8 * 4^q bytes — 128 MB
-    /// at q = 12 — and lets engines replace the first q backward-search
-    /// steps of a descent with one lookup. See bwt/prefix_table.h.
+    /// q-gram size of a forward-only index's precomputed prefix interval
+    /// table (0 = no table, the default; max PrefixIntervalTable::kMaxQ). A
+    /// table costs 8 * 4^q bytes — 128 MB at q = 12 — and lets engines
+    /// replace the first q backward-search steps of a descent with one
+    /// lookup. See bwt/prefix_table.h. A BiFmIndex picks its own q and
+    /// rejects a nonzero value here.
     uint32_t prefix_table_q = 0;
     /// Checkpoint-gap rank kernel. kAuto resolves at Build to AVX2 when the
     /// host supports it, the portable word-parallel kernel otherwise.
@@ -143,7 +145,8 @@ class FmIndex {
 
   /// (Re)builds the q-gram prefix table from the live index — the upgrade
   /// path for format-v1 files, which load without one (index_tool's
-  /// `upgrade` mode drives this; see docs/API.md). q = 0 removes the table.
+  /// `upgrade` mode drives this; see docs/API.md), and how a BiFmIndex
+  /// tables its halves. q = 0 removes the table.
   /// The result is byte-identical to having built the index with
   /// Options::prefix_table_q = q; Save() then persists it.
   ///

@@ -93,7 +93,7 @@ Result<PrefixIntervalTable> PrefixIntervalTable::Build(
 }
 
 Result<PrefixIntervalTable> PrefixIntervalTable::FromParts(
-    uint32_t q, std::vector<uint64_t> entries) {
+    uint32_t q, std::vector<uint64_t> entries, size_t text_size) {
   if (q == 0 || q > kMaxQ) {
     return Status::Corruption("prefix table q out of range: " +
                               std::to_string(q));
@@ -103,6 +103,28 @@ Result<PrefixIntervalTable> PrefixIntervalTable::FromParts(
         "prefix table entry count mismatch: q=" + std::to_string(q) +
         " expects " + std::to_string(KeyCount(q)) + ", got " +
         std::to_string(entries.size()));
+  }
+  // Each length-q window of the text is one row of exactly one q-gram's
+  // range, so the widths sum to the window count. Bounds are checked on the
+  // raw 32-bit halves: an entry past the rows would index the rank table out
+  // of range on the first lookup of its q-gram.
+  const uint64_t rows = static_cast<uint64_t>(text_size) + 1;
+  uint64_t width_sum = 0;
+  for (const uint64_t entry : entries) {
+    if (entry == 0) continue;
+    const uint64_t lo = entry >> 32;
+    const uint64_t hi = static_cast<uint32_t>(entry);
+    if (lo >= hi || hi > rows) {
+      return Status::Corruption("prefix table entry outside the index rows");
+    }
+    width_sum += hi - lo;
+  }
+  const uint64_t windows = text_size >= q ? text_size - q + 1 : 0;
+  if (width_sum != windows) {
+    return Status::Corruption(
+        "prefix table ranges cover " + std::to_string(width_sum) +
+        " rows, expected one per length-" + std::to_string(q) +
+        " window: " + std::to_string(windows));
   }
   PrefixIntervalTable table;
   table.q_ = q;

@@ -17,9 +17,11 @@
 // characters of the descent are fully determined; see each call site for the
 // engine-specific argument.
 //
-// Space: 8 bytes per entry, 4^q entries — 8 MB at q = 10, 128 MB at the
-// default q = 12 used by the bench grid. The q knob lives in
-// FmIndex::Options::prefix_table_q (0 = no table).
+// Space: 8 bytes per entry, 4^q entries — 8 MB at q = 10, 128 MB at q = 12.
+// A BiFmIndex picks q from the text length and tables both halves (see
+// BiFmIndex::SeedTableQ). A forward-only FmIndex has no table unless its
+// caller asks through FmIndex::Options::prefix_table_q (0 = no table, the
+// default) or FmIndex::RebuildPrefixTable; `index_tool upgrade` asks for 12.
 
 #ifndef BWTK_BWT_PREFIX_TABLE_H_
 #define BWTK_BWT_PREFIX_TABLE_H_
@@ -65,10 +67,16 @@ class PrefixIntervalTable {
                                            const SaIndex* first_row,
                                            uint32_t q);
 
-  /// Reassembles a table from serialized parts, validating geometry
-  /// (used by the FM-index loader; see bwt/serialize.cc).
+  /// Reassembles a table from serialized parts (used by the FM-index loader;
+  /// see bwt/serialize.cc) for an index over `text_size` symbols. Returns
+  /// Corruption unless the geometry fits q, every entry is empty or a
+  /// non-empty row range inside the index's text_size + 1 rows, and the
+  /// widths sum to the number of length-q windows, max(0, n - q + 1).
+  /// Corruption that keeps every bound and the sum passes; only rebuilding
+  /// the table would find it.
   static Result<PrefixIntervalTable> FromParts(uint32_t q,
-                                               std::vector<uint64_t> entries);
+                                               std::vector<uint64_t> entries,
+                                               size_t text_size);
 
   uint32_t q() const { return q_; }
   size_t size() const { return entries_.size(); }

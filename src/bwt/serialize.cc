@@ -141,7 +141,7 @@ class FmIndexSerializer {
     if (prefix_q > 0) {
       BWTK_ASSIGN_OR_RETURN(
           auto table, PrefixIntervalTable::FromParts(
-                          prefix_q, std::move(prefix_entries)));
+                          prefix_q, std::move(prefix_entries), index.n_));
       index.prefix_table_ =
           std::make_unique<PrefixIntervalTable>(std::move(table));
       index.options_.prefix_table_q = prefix_q;

@@ -57,8 +57,8 @@ BatchEngine AutoPickEngine(size_t pattern_length, int32_t k,
   if (!bidir_available) return BatchEngine::kAlgorithmA;
   // Crossover calibrated from BENCH_bidir.json (bench/bench_bidir.cc),
   // synth-1M, m in {24, 36, 50, 100} x k in {0..5}: the scheme walk wins
-  // every measured cell — 2.7x at (m=24, k=0), growing with both m and k
-  // to 384x at (m=50, k=5) — so any read at least as long as the measured
+  // every measured cell — 1.9x at (m=24, k=0), growing with both m and k
+  // to 725x at (m=50, k=5) — so any read at least as long as the measured
   // floor routes to it outright. Below the measured lengths it still wins
   // whenever the budget is large enough to multiply the enumeration
   // frontier AND the pattern is long enough that each piece meaningfully

@@ -13,6 +13,8 @@
 #include "bidir/bidir_search.h"
 #include "bidir/search_scheme.h"
 #include "bwt/fm_index.h"
+#include "bwt/prefix_table.h"
+#include "search/result_cache.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -203,13 +205,50 @@ TEST(BiFmIndexSerializationTest, RejectsCorruptedPayload) {
   EXPECT_FALSE(BiFmIndex::Load(corrupted).ok());
 }
 
+// Swaps, in the saved stream `bytes`, the key-0 entry of `table` with the
+// first entry of another width; the entries end `tail` bytes before the
+// stream does. Both stay in bounds and the widths keep their sum, so the
+// table passes its own loader's checks.
+void SwapEntriesOfDifferentWidths(const PrefixIntervalTable& table,
+                                  size_t tail, std::string* bytes) {
+  const uint64_t keys = PrefixIntervalTable::KeyCount(table.q());
+  auto width = [&](uint64_t key) {
+    SaIndex lo = 0, hi = 0;
+    table.Lookup(key, &lo, &hi);
+    return hi - lo;
+  };
+  uint64_t other = 1;
+  while (other < keys && width(other) == width(0)) ++other;
+  ASSERT_LT(other, keys);
+  const size_t entries = bytes->size() - tail - 8 * keys;
+  std::swap_ranges(bytes->begin() + entries, bytes->begin() + entries + 8,
+                   bytes->begin() + entries + 8 * other);
+}
+
+TEST(BiFmIndexSerializationTest, RejectsSeedTablesThatDisagree) {
+  // Swapping two reverse-table entries of different widths keeps that
+  // table's bounds and width sum, so only the pair check can catch it.
+  Rng rng(108);
+  const auto built = BiFmIndex::Build(RandomDna(1000, &rng)).value();
+  ASSERT_NE(built.reverse().prefix_table(), nullptr);
+  std::stringstream stream;
+  ASSERT_TRUE(built.Save(stream).ok());
+  std::string bytes = stream.str();
+  // The reverse half's entries end before its own checksum and the pair's.
+  SwapEntriesOfDifferentWidths(*built.reverse().prefix_table(), 16, &bytes);
+  std::stringstream swapped(bytes);
+  const auto loaded = BiFmIndex::Load(swapped);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("disagree"), std::string::npos)
+      << loaded.status().message();
+}
+
 TEST(BiFmIndexTest, FromForwardMatchesDirectBuild) {
   Rng rng(106);
   const auto text = RandomDna(350, &rng);
-  FmIndex::Options options;
-  options.prefix_table_q = 3;
-  const auto direct = BiFmIndex::Build(text, options).value();
-  auto forward = FmIndex::Build(text, options).value();
+  const auto direct = BiFmIndex::Build(text).value();
+  auto forward = FmIndex::Build(text).value();
   const auto upgraded = BiFmIndex::FromForward(std::move(forward)).value();
   ASSERT_EQ(upgraded.text_size(), direct.text_size());
   const BidirectionalSearch a(&direct), b(&upgraded);
@@ -228,24 +267,118 @@ std::string SavedBytes(const FmIndex& index) {
 }
 
 TEST(BiFmIndexTest, HalvesSaveTheBytesOfSeparateBuilds) {
-  // The forward half is FmIndex::Build(text); the reverse half, built on a
-  // second thread from the text itself, must still be byte for byte
-  // FmIndex::Build(reverse(text)).
+  // The forward half is FmIndex::Build(text) with the seed table at
+  // SeedTableQ; the reverse half, built on a second thread from the text
+  // itself, must still be byte for byte FmIndex::Build(reverse(text)).
   Rng rng(107);
-  FmIndex::Options with_table;
-  with_table.prefix_table_q = 3;
-  for (const auto& [text, options] :
-       {std::pair{RandomDna(600, &rng), FmIndex::Options()},
-        std::pair{PeriodicDna(700, 5, 0.03, &rng), with_table},
-        std::pair{Codes("acagaca"), FmIndex::Options()},
-        std::pair{std::vector<DnaCode>{}, FmIndex::Options()}}) {
-    const auto bidir = BiFmIndex::Build(text, options).value();
+  for (const auto& text :
+       {RandomDna(600, &rng), PeriodicDna(700, 5, 0.03, &rng),
+        Codes("acagaca"), std::vector<DnaCode>{}}) {
+    const auto bidir = BiFmIndex::Build(text).value();
+    const FmIndex::Options options{
+        .prefix_table_q = BiFmIndex::SeedTableQ(text.size())};
     const std::vector<DnaCode> reversed(text.rbegin(), text.rend());
     EXPECT_EQ(SavedBytes(bidir.forward()),
               SavedBytes(FmIndex::Build(text, options).value()));
     EXPECT_EQ(SavedBytes(bidir.reverse()),
               SavedBytes(FmIndex::Build(reversed, options).value()));
   }
+}
+
+TEST(BiFmIndexTest, SeedTableQFollowsTextLength) {
+  EXPECT_EQ(BiFmIndex::SeedTableQ(0), 0u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(15), 0u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(16), 1u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(1023), 3u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(1024), 4u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(size_t{1} << 20), 9u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(size_t{1} << 22), 10u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(size_t{1} << 24), 11u);
+  EXPECT_EQ(BiFmIndex::SeedTableQ(size_t{1} << 40),
+            PrefixIntervalTable::kMaxQ);
+}
+
+// A BWTB stream whose halves carry no seed tables, as BiFmIndex::Save wrote
+// it before every index carried them: the halves of two FmIndex builds
+// framed by the header and closed by the pair checksum.
+std::string TablelessPairStream(const std::vector<DnaCode>& text) {
+  const auto fwd = FmIndex::Build(text).value();
+  const auto rev =
+      FmIndex::Build(std::vector<DnaCode>(text.rbegin(), text.rend())).value();
+  std::string bytes;
+  auto put = [&bytes](auto value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(BiFmIndexFormat::kMagic);
+  put(BiFmIndexFormat::kVersion);
+  put(uint64_t{text.size()});
+  bytes += SavedBytes(fwd) + SavedBytes(rev);
+  uint64_t checksum = 0xcbf29ce484222325ULL;
+  for (const uint64_t w :
+       {uint64_t{text.size()}, FmIndexVersion(fwd), FmIndexVersion(rev)}) {
+    checksum = (checksum ^ w) * 0x100000001b3ULL;
+  }
+  put(checksum);
+  return bytes;
+}
+
+TEST(BiFmIndexTest, EveryConstructorTablesBothHalvesAtSeedTableQ) {
+  // Lengths on both sides of 4^5, and one too short for any table.
+  Rng rng(109);
+  for (const auto& [length, q] :
+       {std::pair<size_t, uint32_t>{1023, 3}, {1024, 4}, {12, 0}}) {
+    SCOPED_TRACE(length);
+    const auto text = RandomDna(length, &rng);
+    const auto built = BiFmIndex::Build(text).value();
+    EXPECT_EQ(built.forward().prefix_table_q(), q);
+    EXPECT_EQ(built.reverse().prefix_table_q(), q);
+    const std::string fwd_bytes = SavedBytes(built.forward());
+    const std::string rev_bytes = SavedBytes(built.reverse());
+    // FromForward of a forward index without a table, with one at another
+    // q and with one at q, and Load of a table-less stream, all end where
+    // Build does.
+    for (const uint32_t forward_q : {0u, 5u, q}) {
+      const auto upgraded =
+          BiFmIndex::FromForward(
+              FmIndex::Build(text, {.prefix_table_q = forward_q}).value())
+              .value();
+      EXPECT_EQ(SavedBytes(upgraded.forward()), fwd_bytes) << forward_q;
+      EXPECT_EQ(SavedBytes(upgraded.reverse()), rev_bytes) << forward_q;
+    }
+    std::stringstream stream(TablelessPairStream(text));
+    const auto loaded = BiFmIndex::Load(stream);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(SavedBytes(loaded.value().forward()), fwd_bytes);
+    EXPECT_EQ(SavedBytes(loaded.value().reverse()), rev_bytes);
+  }
+}
+
+TEST(BiFmIndexTest, FromForwardRejectsAForwardTableThatDisagrees) {
+  // A forward file at SeedTableQ with two entries of different widths
+  // swapped loads on its own; FromForward keeps its table, so only the check
+  // against the reverse table it builds can catch the swap.
+  Rng rng(110);
+  const auto text = RandomDna(1000, &rng);
+  const auto forward =
+      FmIndex::Build(text,
+                     {.prefix_table_q = BiFmIndex::SeedTableQ(text.size())})
+          .value();
+  std::string bytes = SavedBytes(forward);
+  // The entries end before the FM-index checksum.
+  SwapEntriesOfDifferentWidths(*forward.prefix_table(), 8, &bytes);
+  std::stringstream swapped(bytes);
+  auto loaded = FmIndex::Load(swapped);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto upgraded = BiFmIndex::FromForward(std::move(loaded).value());
+  ASSERT_FALSE(upgraded.ok());
+  EXPECT_EQ(upgraded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(BiFmIndexTest, BuildRejectsPrefixTableQ) {
+  const auto built =
+      BiFmIndex::Build(Codes("acgtacgtacgtacgtacgt"), {.prefix_table_q = 3});
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BiFmIndexTest, BuildRejectsZeroSampleRate) {
@@ -379,20 +512,23 @@ TEST(SearchSchemeTest, TrivialSchemeAdmitsEverything) {
 // BidirectionalSearch: cross-validation against the naive scanner
 // ---------------------------------------------------------------------------
 
-void CrossValidate(uint32_t prefix_table_q, uint64_t seed) {
+// The index's seed tables take their q from the text length, so the
+// lengths choose whether (and how deep) first pieces are seeded.
+void CrossValidate(size_t text_length, uint32_t q, uint64_t seed) {
   Rng rng(seed);
-  const auto text = RandomDna(1200, &rng);
-  FmIndex::Options options;
-  options.prefix_table_q = prefix_table_q;
-  const auto index = BiFmIndex::Build(text, options).value();
+  const auto text = RandomDna(text_length, &rng);
+  const auto index = BiFmIndex::Build(text).value();
+  ASSERT_EQ(index.forward().prefix_table_q(), q);
   const BidirectionalSearch searcher(&index);
   const NaiveSearch naive(&text);
   for (int trial = 0; trial < 60; ++trial) {
-    const size_t length = 12 + rng.NextBounded(60);
+    const size_t length =
+        1 + rng.NextBounded(std::min<size_t>(text_length, 71));
     const int32_t k = static_cast<int32_t>(rng.NextBounded(7));
     std::vector<DnaCode> pattern;
     if (rng.NextBool(0.5)) {
-      pattern = SampleWithFlips(text, rng.NextBounded(text.size() - length),
+      pattern = SampleWithFlips(text,
+                                rng.NextBounded(text.size() - length + 1),
                                 length, static_cast<int>(rng.NextBounded(4)),
                                 &rng);
     } else {
@@ -400,19 +536,23 @@ void CrossValidate(uint32_t prefix_table_q, uint64_t seed) {
     }
     SearchStats stats;
     const auto hits = searcher.Search(pattern, k, &stats);
-    const auto expected = naive.Search(pattern, k);
-    ASSERT_EQ(hits, expected)
-        << "m = " << length << " k = " << k << " q = " << prefix_table_q;
-    if (!hits.empty()) {
+    ASSERT_EQ(hits, naive.Search(pattern, k))
+        << "n = " << text_length << " m = " << length << " k = " << k
+        << " q = " << q;
+    // A hit takes at least one extend past the seed's depth q; a pattern of
+    // exactly q symbols can be answered by the tables alone.
+    if (!hits.empty() && length > q) {
       EXPECT_GT(stats.extend_calls, 0u);
     }
   }
 }
 
-TEST(BidirectionalSearchTest, MatchesNaiveScanner) { CrossValidate(0, 201); }
-
-TEST(BidirectionalSearchTest, MatchesNaiveScannerWithPrefixTableSeeding) {
-  CrossValidate(5, 202);
+TEST(BidirectionalSearchTest, MatchesNaiveScanner) {
+  CrossValidate(15, 0, 201);
+  CrossValidate(200, 2, 202);
+  CrossValidate(1000, 3, 203);
+  CrossValidate(3000, 4, 204);
+  CrossValidate(5000, 5, 205);
 }
 
 TEST(BidirectionalSearchTest, MatchesNaiveOnPeriodicText) {

@@ -325,19 +325,67 @@ TEST(PrefixTableTest, LoadRejectsTruncationInsideTableEntries) {
 }
 
 TEST(PrefixTableTest, FromPartsValidatesGeometry) {
-  EXPECT_EQ(PrefixIntervalTable::FromParts(3, std::vector<uint64_t>(63))
+  EXPECT_EQ(PrefixIntervalTable::FromParts(3, std::vector<uint64_t>(63), 2)
                 .status()
                 .code(),
             StatusCode::kCorruption);
-  EXPECT_EQ(PrefixIntervalTable::FromParts(0, {}).status().code(),
+  EXPECT_EQ(PrefixIntervalTable::FromParts(0, {}, 2).status().code(),
             StatusCode::kCorruption);
   EXPECT_EQ(PrefixIntervalTable::FromParts(PrefixIntervalTable::kMaxQ + 1,
-                                           std::vector<uint64_t>(4))
+                                           std::vector<uint64_t>(4), 2)
                 .status()
                 .code(),
             StatusCode::kCorruption);
+  // A text shorter than q has no q-gram, so an all-empty table is whole.
   EXPECT_TRUE(
-      PrefixIntervalTable::FromParts(3, std::vector<uint64_t>(64)).ok());
+      PrefixIntervalTable::FromParts(3, std::vector<uint64_t>(64), 2).ok());
+}
+
+// Saved bytes of a q = 3 index with the table entry of `key` replaced by
+// `edit(old entry)`. Entry i sits 8 * (4^3 - i) bytes before the trailing
+// 8-byte checksum, which covers only the BWT words.
+template <typename Edit>
+std::string WithEditedEntry(const FmIndex& index, uint64_t key, Edit edit) {
+  std::stringstream buffer;
+  EXPECT_TRUE(index.Save(buffer).ok());
+  std::string bytes = buffer.str();
+  const size_t offset =
+      bytes.size() - 8 - 8 * (PrefixIntervalTable::KeyCount(3) - key);
+  uint64_t entry = 0;
+  std::memcpy(&entry, bytes.data() + offset, sizeof(entry));
+  EXPECT_EQ(entry, index.prefix_table()->entries()[key]);
+  entry = edit(entry);
+  std::memcpy(bytes.data() + offset, &entry, sizeof(entry));
+  return bytes;
+}
+
+TEST(PrefixTableTest, LoadRejectsEntryOutsideTheRows) {
+  Rng rng(85);
+  const auto index = BuildIndex(RandomDna(500, &rng), 3);
+  // Unchecked, the first lookup of this q-gram would index the rank table
+  // at row 4e9.
+  std::stringstream patched(WithEditedEntry(index, 5, [](uint64_t) {
+    return (uint64_t{4000000000} << 32) | uint64_t{4000000100};
+  }));
+  const auto status = FmIndex::Load(patched).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(PrefixTableTest, LoadRejectsEntryWhoseWidthChanged) {
+  Rng rng(86);
+  const auto index = BuildIndex(RandomDna(500, &rng), 3);
+  // Widen one range by a row: it stays inside the rows, but the widths no
+  // longer sum to the text's 498 windows of length 3.
+  uint64_t key = 0;
+  SaIndex lo = 0, hi = 0;
+  while (!index.prefix_table()->Lookup(key, &lo, &hi) ||
+         static_cast<size_t>(hi) == index.rows()) {
+    ++key;
+  }
+  std::stringstream patched(
+      WithEditedEntry(index, key, [](uint64_t entry) { return entry + 1; }));
+  const auto status = FmIndex::Load(patched).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 
 // Patterns shorter than q cannot use the table but must still work.
