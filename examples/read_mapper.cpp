@@ -143,9 +143,12 @@ int RunPipeline(const std::vector<bwtk::DnaCode>& genome,
   batch_options.slow_trace_count = trace_flags.slow_count;
   batch_options.trace_out = trace_flags.trace_out;
 
-  // Per-query latency comes from the registry's log2 histogram: diff the
-  // process-wide snapshot around the batch so only this batch's queries
-  // land in the estimate.
+  // Per-query engine time comes from the registry's query_nanos log2
+  // histogram: diff the process-wide snapshot around the batch so only this
+  // batch's queries land in the estimate. A bidirectional query's time runs
+  // from its walk's first turn to its last, and a worker interleaves up to
+  // eight walks, so it is a span of the worker's time, not a latency a
+  // caller waits for.
   const bwtk::obs::MetricsBlock before =
       bwtk::obs::MetricsRegistry::Instance().Snapshot();
   bwtk::Stopwatch map_watch;
@@ -216,14 +219,15 @@ int RunPipeline(const std::vector<bwtk::DnaCode>& genome,
                 static_cast<unsigned long long>(result.seam_hits_deduped));
   }
 
-  // The one-line batch summary: throughput + latency quantiles + slow log.
+  // The one-line batch summary: throughput + query_nanos quantiles + slow
+  // log.
   const bwtk::obs::Histogram& latency =
       delta.hists[bwtk::obs::kHistQueryNanos];
   const bwtk::obs::TraceSink* sink =
       sharded ? shard_engine->trace_sink() : mono_engine->trace_sink();
   std::printf(
-      "# batch: %zu reads in %.3f s (%.0f reads/s), query p50=%.1fus "
-      "p95=%.1fus (n=%llu), slow-log %zu\n",
+      "# batch: %zu reads in %.3f s (%.0f reads/s), per-query engine time "
+      "(first to last step) p50=%.1fus p95=%.1fus (n=%llu), slow-log %zu\n",
       reads.size(), map_seconds,
       reads.empty() ? 0.0 : reads.size() / map_seconds,
       static_cast<double>(bwtk::obs::EstimateQuantile(latency, 0.50)) * 1e-3,

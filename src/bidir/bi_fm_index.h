@@ -155,6 +155,20 @@ class BiFmIndex {
     }
   }
 
+  /// Hints the cache that ExtendRightAll (`right`) or ExtendLeftAll of
+  /// `range` comes next: prefetches the rank blocks of both ends of the
+  /// interval on the half that extension ranks. A scheme walk calls it for
+  /// its next frame before the other walks in flight take their turns
+  /// (BidirWalkSet). Force-inlined for the reason given at
+  /// OccTable::Prefetch.
+  [[gnu::always_inline]] void PrefetchExtend(const BiRange& range,
+                                             bool right) const {
+    const OccTable& occ = right ? fwd_.occ() : rev_.occ();
+    const FmIndex::Range& rows = right ? range.fwd : range.rev;
+    occ.Prefetch(static_cast<size_t>(rows.lo));
+    occ.Prefetch(static_cast<size_t>(rows.hi));
+  }
+
   /// Single-symbol conveniences (tests and simple callers; engines use the
   /// *All forms, which share the rank scans across the four symbols).
   BiRange ExtendRight(const BiRange& range, DnaCode c) const {
@@ -177,17 +191,20 @@ class BiFmIndex {
     return fwd_.Locate(range.fwd, window_length);
   }
 
-  /// Reverses the base-4 digits of a forward prefix-table key: the reverse
-  /// half's table is keyed by the window read right to left, so the seed
-  /// step looks up PackKey(W) in the forward table and ReverseKey of it in
-  /// the reverse table.
+  /// Reverses the base-4 digits of a forward prefix-table key (key < 4^q):
+  /// the reverse half's table is keyed by the window read right to left, so
+  /// the seed step looks up PackKey(W) in the forward table and ReverseKey
+  /// of it in the reverse table. It reverses all 32 digits of the word
+  /// (swap digit pairs, then nibbles, then bytes) and shifts the q that
+  /// were the key down again; a seed step calls it twice per variant.
   static uint64_t ReverseKey(uint64_t key, uint32_t q) {
-    uint64_t reversed = 0;
-    for (uint32_t i = 0; i < q; ++i) {
-      reversed = (reversed << 2) | (key & 3);
-      key >>= 2;
-    }
-    return reversed;
+    BWTK_DCHECK(q <= 32 && (q == 32 || key >> (2 * q) == 0));
+    if (q == 0) return 0;
+    key = ((key >> 2) & 0x3333333333333333ULL) |
+          ((key & 0x3333333333333333ULL) << 2);
+    key = ((key >> 4) & 0x0F0F0F0F0F0F0F0FULL) |
+          ((key & 0x0F0F0F0F0F0F0F0FULL) << 4);
+    return __builtin_bswap64(key) >> (64 - 2 * q);
   }
 
   /// Approximate heap footprint of both halves.

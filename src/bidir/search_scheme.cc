@@ -209,13 +209,18 @@ SearchScheme SearchScheme::ForBudget(int32_t k) {
 }
 
 std::vector<uint32_t> SearchScheme::PieceBoundaries(uint32_t m, uint32_t p) {
-  BWTK_CHECK(p >= 1 && p <= m);
-  std::vector<uint32_t> boundaries(p + 1);
-  for (uint32_t i = 0; i <= p; ++i) {
-    boundaries[i] = static_cast<uint32_t>(
-        (static_cast<uint64_t>(i) * m) / p);
-  }
+  std::vector<uint32_t> boundaries;
+  PieceBoundaries(m, p, &boundaries);
   return boundaries;
+}
+
+void SearchScheme::PieceBoundaries(uint32_t m, uint32_t p,
+                                   std::vector<uint32_t>* out) {
+  BWTK_CHECK(p >= 1 && p <= m);
+  out->resize(p + 1);
+  for (uint32_t i = 0; i <= p; ++i) {
+    (*out)[i] = static_cast<uint32_t>((static_cast<uint64_t>(i) * m) / p);
+  }
 }
 
 }  // namespace bwtk

@@ -84,6 +84,9 @@ class SearchScheme {
   /// (later pieces take the remainder): returns the p+1 piece boundaries,
   /// boundaries[i] = floor(i*m/p). Requires 1 <= p <= m.
   static std::vector<uint32_t> PieceBoundaries(uint32_t m, uint32_t p);
+  /// The same boundaries written into `*out`, reusing its capacity.
+  static void PieceBoundaries(uint32_t m, uint32_t p,
+                              std::vector<uint32_t>* out);
 
  private:
   SearchScheme() = default;

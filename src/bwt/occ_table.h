@@ -101,8 +101,9 @@ class OccTable {
   /// step's worth of rank work (FmIndex::Extend). When both positions land
   /// in the same checkpoint block (the common case once a descent has
   /// narrowed its range) the checkpoint load and the scan up to `lo` are
-  /// shared and only the [lo, hi) gap is scanned twice-free; otherwise the
-  /// two scans are independent but hi's cache lines are prefetched first.
+  /// shared and only the [lo, hi) gap is scanned on top; otherwise the two
+  /// scans are independent, and hi's two cache lines are prefetched (see
+  /// Prefetch) before lo's scan so that their misses overlap.
   void RankPair(DnaCode c, size_t lo, size_t hi, uint32_t* rank_lo,
                 uint32_t* rank_hi) const;
 
@@ -112,9 +113,16 @@ class OccTable {
   void RankAll(size_t pos, uint32_t out[kDnaAlphabetSize]) const;
 
   /// Hints the cache that a Rank/RankAll at `pos` is imminent: prefetches
-  /// the checkpoint entry and the first gap word. Used by FmIndex::ExtendAll
-  /// to overlap the second RankAll's loads with the first's scan.
-  void Prefetch(size_t pos) const {
+  /// the checkpoint entry and the first gap word. RankPair and
+  /// FmIndex::ExtendAll use it to overlap the second position's loads with
+  /// the first's scan; BiFmIndex::PrefetchExtend to load a walk's next
+  /// frame while other walks run.
+  ///
+  /// Force-inlined: gcc's pure-const pass marks an out-of-line copy of this
+  /// body "looping pure" and then deletes every call to it as dead, so
+  /// without the attribute no prefetch instruction reaches the binary. CI
+  /// checks that occ_table.cc.o and bidir_search.cc.o contain some.
+  [[gnu::always_inline]] void Prefetch(size_t pos) const {
     const size_t block = pos / rate_;
     __builtin_prefetch(checkpoints_.data() + block * kDnaAlphabetSize);
     const std::vector<uint64_t>& words = bwt_->codes.words();

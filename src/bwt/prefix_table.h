@@ -103,9 +103,11 @@ class PrefixIntervalTable {
 
   /// Hints the cache that `key`'s entry is about to be loaded. Lookups are
   /// single loads into a table far larger than cache, so callers that know
-  /// their next key (e.g. ComputeTau's rolling window) hide the DRAM
-  /// latency behind their current work.
-  void Prefetch(uint64_t key) const {
+  /// their next keys (ComputeTau's rolling window, a scheme walk's seed
+  /// variants) hide the DRAM latency behind their current work.
+  /// Force-inlined for the reason given at OccTable::Prefetch: otherwise
+  /// gcc may delete the calls.
+  [[gnu::always_inline]] void Prefetch(uint64_t key) const {
     __builtin_prefetch(entries_.data() + key);
   }
 

@@ -153,13 +153,15 @@ enum PhaseId : uint32_t {
   kPhaseQueueWait,      ///< batch workers blocked waiting for work.
   kPhaseWorkerSearch,   ///< batch workers executing a batch's queries.
   kPhasePrefixTableBuild,  ///< PrefixIntervalTable::Build (index build time).
-  kPhaseBidirTraversal,    ///< the search-scheme walk of a bidirectional query.
+  kPhaseBidirTraversal,    ///< stepping search-scheme walks, per finished walk.
   kNumPhases
 };
 
 /// Log2-bucketed histograms.
 enum HistId : uint32_t {
-  kHistQueryNanos,      ///< wall nanoseconds per Search call.
+  /// Wall nanoseconds per Search call; for a scheme walk, its first turn
+  /// to its last (other walks' turns in between included).
+  kHistQueryNanos,
   kHistHitsPerQuery,    ///< occurrences reported per Search call.
   kHistChainLength,     ///< nodes per recorded chain.
   kHistQueueWaitNanos,  ///< nanoseconds per worker wait episode.

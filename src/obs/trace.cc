@@ -133,21 +133,33 @@ void TraceSink::Clear() {
   dropped_ = 0;
 }
 
+bool BeginQueryTrace(const TraceSink* sink, uint64_t trace_id,
+                     std::string_view engine, int32_t k,
+                     size_t pattern_length, uint32_t thread_index,
+                     uint32_t shard_id, Trace* trace) {
+  if (sink == nullptr || !sink->ShouldSample(trace_id)) return false;
+  *trace = Trace{};
+  trace->trace_id = trace_id;
+  trace->engine.assign(engine);
+  trace->k = k;
+  trace->thread_index = thread_index;
+  trace->shard_id = shard_id;
+  trace->pattern_length = pattern_length;
+  trace->nodes_per_depth.reserve(pattern_length + 1);
+  trace->begin_ns = TraceClockNanos();
+  return true;
+}
+
 ScopedQueryTrace::ScopedQueryTrace(TraceSink* sink, uint64_t trace_id,
                                    std::string_view engine, int32_t k,
                                    size_t pattern_length,
                                    uint32_t thread_index, uint32_t shard_id) {
-  if (sink == nullptr || !sink->ShouldSample(trace_id)) return;
+  if (!BeginQueryTrace(sink, trace_id, engine, k, pattern_length,
+                       thread_index, shard_id, &trace_)) {
+    return;
+  }
   sink_ = sink;
   active_ = true;
-  trace_.trace_id = trace_id;
-  trace_.engine.assign(engine);
-  trace_.k = k;
-  trace_.thread_index = thread_index;
-  trace_.shard_id = shard_id;
-  trace_.pattern_length = pattern_length;
-  trace_.nodes_per_depth.reserve(pattern_length + 1);
-  trace_.begin_ns = TraceClockNanos();
   prev_ = g_active_trace;
   g_active_trace = &trace_;
 }

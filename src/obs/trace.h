@@ -121,6 +121,18 @@ struct Trace {
     return spans.size() - 1;
   }
 
+  /// Records a span whose time was measured elsewhere, at the current
+  /// nesting level: a region that is not one interval of the clock, such
+  /// as an interleaved scheme walk's own turns (it starts at the first turn
+  /// and lasts their sum).
+  void AddSpan(std::string_view name, uint64_t start_ns, uint64_t dur_ns) {
+    if (spans.size() >= kTraceMaxSpans) {
+      ++dropped_spans;
+      return;
+    }
+    spans.push_back({name, start_ns, dur_ns, open_depth_});
+  }
+
   void CloseSpan(size_t index) {
     if (index == kTraceSpanDropped) {
       if (open_depth_ > 0) --open_depth_;  // the open was counted dropped
@@ -239,7 +251,19 @@ class TraceSink {
   uint64_t dropped_ = 0;
 };
 
-// --- Query-scope helper --------------------------------------------------
+// --- Query-scope helpers -------------------------------------------------
+
+/// When `sink` (may be null) samples `trace_id`, resets `*trace` to that
+/// query's trace, stamps its identity and begin_ns, and returns true;
+/// otherwise leaves `*trace` alone and returns false. It activates nothing:
+/// this is how a query that shares its thread with others gets a trace of
+/// its own (EngineBank hands it to the query's scheme walk), since the
+/// thread-local activation would give one query's nodes and spans to
+/// another. The caller sets wall_ns, matches and stats and offers it.
+bool BeginQueryTrace(const TraceSink* sink, uint64_t trace_id,
+                     std::string_view engine, int32_t k,
+                     size_t pattern_length, uint32_t thread_index,
+                     uint32_t shard_id, Trace* trace);
 
 /// Traces one query end to end: decides sampling, activates the trace for
 /// the enclosing scope, stamps wall time, and offers the result to the

@@ -114,6 +114,17 @@ struct EngineBank::Impl {
   std::vector<std::unique_ptr<BidirectionalSearch>> bidir_engines;
   AlgorithmAScratch scratch;  // reused across every query, never shrinks
 
+  // The single-index bidirectional queries AnswerAll has in flight, one
+  // per walk slot.
+  struct Walking {
+    uint64_t id = 0;
+    const BatchQuery* query = nullptr;
+    bool traced = false;
+    obs::Trace trace;
+  };
+  BidirWalkSet walks{BidirWalkSet::kBatchWalks};
+  std::vector<Walking> walking{BidirWalkSet::kBatchWalks};
+
   Impl(std::vector<const FmIndex*> group, const ShardedIndex* sharded_index,
        const BatchOptions& opts)
       : options(opts),
@@ -157,6 +168,15 @@ struct EngineBank::Impl {
         << "engine bidirectional needs BatchOptions::bidir_indexes";
   }
 
+  // Stores a freshly computed answer for `query` in the result cache.
+  void Remember(const BatchQuery& query, const QueryAnswer& answer) {
+    if (cache == nullptr) return;
+    cache->Insert(static_cast<uint8_t>(answer.engine), query.k, version,
+                  query.pattern,
+                  ResultCache::Entry{answer.hits, answer.stats,
+                                     answer.seam_hits_deduped});
+  }
+
   // A sharded k = 0 query without wildcards: every engine is exact
   // matching there, so one backward search + locate per shard answers it.
   bool PointLookupEligible(const BatchQuery& query) const {
@@ -182,32 +202,108 @@ EngineBank::~EngineBank() = default;
 QueryAnswer EngineBank::Answer(BatchEngine engine, const BatchQuery& query,
                                obs::TraceSink* sink, uint64_t trace_id,
                                uint32_t thread_index) {
+  // The callbacks capture one pointer each, so std::function stores them
+  // without allocating.
+  struct One {
+    QueryClaim claim;
+    bool claimed = false;
+    QueryAnswer answer;
+  } one;
+  one.claim = {&query, 0, trace_id};
+  AnswerAll(
+      engine,
+      [&one](QueryClaim* claim) {
+        if (one.claimed) return false;
+        one.claimed = true;
+        *claim = one.claim;
+        return true;
+      },
+      [&one](uint64_t, QueryAnswer&& done) { one.answer = std::move(done); },
+      sink, thread_index);
+  return std::move(one.answer);
+}
+
+void EngineBank::AnswerAll(
+    BatchEngine engine, const std::function<bool(QueryClaim*)>& next,
+    const std::function<void(uint64_t id, QueryAnswer&&)>& done,
+    obs::TraceSink* sink, uint32_t thread_index) {
   Impl& impl = *impl_;
-  QueryAnswer answer;
+  BidirWalkSet& walks = impl.walks;
+  bool more = true;
+  for (;;) {
+    // Fill the free walk slots; a query that is not a walk is answered
+    // while the walks in flight wait.
+    while (more && walks.in_flight() < walks.width()) {
+      QueryClaim claim;
+      if (!next(&claim)) {
+        more = false;
+        break;
+      }
+      QueryAnswer answer;
+      if (!StartOrAnswer(engine, claim, sink, thread_index, &answer)) {
+        done(claim.id, std::move(answer));
+      }
+    }
+    const size_t slot = walks.Next();
+    if (slot == BidirWalkSet::kNoSlot) return;
+    Impl::Walking& walking = impl.walking[slot];
+    QueryAnswer answer;
+    answer.engine = BatchEngine::kBidirectional;
+    answer.hits = walks.TakeHits(slot);
+    answer.stats = walks.stats(slot);
+    if (walking.traced) {
+      walking.trace.wall_ns = walks.own_nanos(slot);
+      walking.trace.matches = answer.hits.size();
+      walking.trace.stats = answer.stats;
+      sink->Offer(std::move(walking.trace));
+    }
+    impl.Remember(*walking.query, answer);
+    done(walking.id, std::move(answer));
+  }
+}
+
+bool EngineBank::StartOrAnswer(BatchEngine engine, const QueryClaim& claim,
+                               obs::TraceSink* sink, uint32_t thread_index,
+                               QueryAnswer* answer) {
+  Impl& impl = *impl_;
+  const BatchQuery& query = *claim.query;
   // Trace labels, cache keys and served counters all attribute to the
   // engine the query actually runs under, so kAuto shares cache entries
   // with pools and Sessions that pin the same engine.
-  answer.engine = Resolve(engine, query);
-  if (query.k < 0) return answer;
-  const uint8_t engine_id = static_cast<uint8_t>(answer.engine);
+  answer->engine = Resolve(engine, query);
+  if (query.k < 0) return false;
   if (impl.cache != nullptr) {
     ResultCache::Entry cached;
-    if (impl.cache->Lookup(engine_id, query.k, impl.version, query.pattern,
-                           &cached)) {
-      answer.hits = std::move(cached.hits);
-      answer.stats = cached.stats;
-      answer.seam_hits_deduped = cached.seam_hits_deduped;
-      answer.cache_served = true;
-      return answer;
+    if (impl.cache->Lookup(static_cast<uint8_t>(answer->engine), query.k,
+                           impl.version, query.pattern, &cached)) {
+      answer->hits = std::move(cached.hits);
+      answer->stats = cached.stats;
+      answer->seam_hits_deduped = cached.seam_hits_deduped;
+      answer->cache_served = true;
+      return false;
     }
   }
-  const size_t num_indexes = impl.indexes.size();
+  if (impl.sharded == nullptr &&
+      answer->engine == BatchEngine::kBidirectional) {
+    const size_t slot = impl.walks.FreeSlot();
+    Impl::Walking& walking = impl.walking[slot];
+    walking.id = claim.id;
+    walking.query = &query;
+    walking.traced = obs::BeginQueryTrace(
+        sink, claim.trace_id, BatchEngineName(answer->engine), query.k,
+        query.pattern.size(), thread_index, 0, &walking.trace);
+    impl.walks.Start(slot, *impl.bidir_engines[0], query.pattern, query.k,
+                     walking.traced ? &walking.trace : nullptr);
+    return true;
+  }
   if (impl.sharded == nullptr) {
-    obs::ScopedQueryTrace qt(sink, trace_id, BatchEngineName(answer.engine),
-                             query.k, query.pattern.size(), thread_index, 0);
-    answer.hits = RunWith(answer.engine, query, 0, &answer.stats);
-    qt.Finish(answer.hits.size(), answer.stats);
+    obs::ScopedQueryTrace qt(sink, claim.trace_id,
+                             BatchEngineName(answer->engine), query.k,
+                             query.pattern.size(), thread_index, 0);
+    answer->hits = RunWith(answer->engine, query, 0, &answer->stats);
+    qt.Finish(answer->hits.size(), answer->stats);
   } else {
+    const size_t num_indexes = impl.indexes.size();
     std::vector<std::vector<Occurrence>> parts(num_indexes);
     if (impl.PointLookupEligible(query)) {
       for (size_t s = 0; s < num_indexes; ++s) {
@@ -223,25 +319,21 @@ QueryAnswer EngineBank::Answer(BatchEngine engine, const BatchQuery& query,
       BWTK_METRIC_COUNT_N(kCounterShardQueries, num_indexes);
       for (size_t s = 0; s < num_indexes; ++s) {
         SearchStats shard_stats;
-        obs::ScopedQueryTrace qt(sink, trace_id + s,
-                                 BatchEngineName(answer.engine), query.k,
+        obs::ScopedQueryTrace qt(sink, claim.trace_id + s,
+                                 BatchEngineName(answer->engine), query.k,
                                  query.pattern.size(), thread_index,
                                  static_cast<uint32_t>(s));
-        parts[s] = RunWith(answer.engine, query, s, &shard_stats);
+        parts[s] = RunWith(answer->engine, query, s, &shard_stats);
         qt.Finish(parts[s].size(), shard_stats);
-        answer.stats += shard_stats;
+        answer->stats += shard_stats;
       }
     }
-    answer.seam_hits_deduped = ResolveShardedHits(
-        impl.sharded->plan(), ShardedQueryWindow(query, answer.engine),
-        parts.data(), &answer.hits);
+    answer->seam_hits_deduped = ResolveShardedHits(
+        impl.sharded->plan(), ShardedQueryWindow(query, answer->engine),
+        parts.data(), &answer->hits);
   }
-  if (impl.cache != nullptr) {
-    impl.cache->Insert(engine_id, query.k, impl.version, query.pattern,
-                       ResultCache::Entry{answer.hits, answer.stats,
-                                          answer.seam_hits_deduped});
-  }
-  return answer;
+  impl.Remember(query, *answer);
+  return false;
 }
 
 bool EngineBank::Supports(BatchEngine engine) const {
@@ -460,24 +552,32 @@ struct BatchSearcher::Pool {
           ++tasks_run;
         }
       } else {
-        for (;;) {
-          const size_t q = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (q >= task_count) break;
-          const BatchQuery& query = queries[q];
-          // A negative budget marks a query skipped at decode time (ASCII
-          // fail_fast = false path); its slot stays empty.
-          if (query.k < 0) continue;
-          BWTK_METRIC_COUNT(kCounterBatchQueries);
-          // Trace id = batch sequence | task index: stable across runs, so
-          // the sampled subset does not depend on thread assignment.
-          QueryAnswer answer = bank.Answer(options.engine, query, tsink,
-                                           base | (q * num_indexes),
-                                           thread_index);
-          (*out)[q] = std::move(answer.hits);
-          totals.stats += answer.stats;
-          totals.seam_hits_deduped += answer.seam_hits_deduped;
-          ++tasks_run;
-        }
+        // The bank claims a new query whenever a walk slot frees, so this
+        // worker keeps up to BidirWalkSet::kBatchWalks queries in flight.
+        bank.AnswerAll(
+            options.engine,
+            [&](QueryClaim* claim) {
+              for (;;) {
+                const size_t q = cursor.fetch_add(1, std::memory_order_relaxed);
+                if (q >= task_count) return false;
+                // A negative budget marks a query skipped at decode time
+                // (ASCII fail_fast = false path); its slot stays empty.
+                if (queries[q].k < 0) continue;
+                BWTK_METRIC_COUNT(kCounterBatchQueries);
+                // Trace id = batch sequence | task index: stable across
+                // runs, so the sampled subset does not depend on thread
+                // assignment.
+                *claim = {&queries[q], q, base | (q * num_indexes)};
+                return true;
+              }
+            },
+            [&](uint64_t q, QueryAnswer&& answer) {
+              (*out)[q] = std::move(answer.hits);
+              totals.stats += answer.stats;
+              totals.seam_hits_deduped += answer.seam_hits_deduped;
+              ++tasks_run;
+            },
+            tsink, thread_index);
       }
       if (tsink != nullptr) {
         // One aux lane per (batch, worker): how long the worker queued and

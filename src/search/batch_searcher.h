@@ -13,12 +13,14 @@
 //   bwtk::BatchResult result = batch.Search(queries);
 //   // result.occurrences[i] == serial searcher.Search(queries[i].pattern, k)
 //
-// Every worker answers a query with one EngineBank::Answer call — the same
-// per-query step serve::Session's workers run — so batch and served search
-// share the result cache, the seam rule and the stats contract. A pool over
-// a ShardedIndex exists only inside ShardedBatchSearcher
-// (shard/sharded_searcher.h), which checks every query's window against the
-// shard overlap first.
+// Every worker answers its queries through one EngineBank::AnswerAll call
+// per batch — the path serve::Session's workers take one query at a time —
+// so batch and served search share the result cache, the seam rule and the
+// stats contract. A worker keeps up to BidirWalkSet::kBatchWalks
+// bidirectional walks in flight and claims the next query from the batch
+// cursor whenever one finishes. A pool over a ShardedIndex exists only
+// inside ShardedBatchSearcher (shard/sharded_searcher.h), which checks
+// every query's window against the shard overlap first.
 //
 // Thread safety: a BatchSearcher drives its own pool and is NOT itself
 // thread-safe — issue one batch at a time (concurrent Search calls on one
@@ -29,6 +31,7 @@
 #define BWTK_SEARCH_BATCH_SEARCHER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -227,17 +230,28 @@ struct QueryAnswer {
   bool cache_served = false;
 };
 
+/// One query handed to EngineBank::AnswerAll.
+struct QueryClaim {
+  /// Must stay valid until its answer is delivered.
+  const BatchQuery* query = nullptr;
+  /// The caller's handle for the query, passed back with its answer.
+  uint64_t id = 0;
+  /// Stable trace id (see EngineBank::Answer).
+  uint64_t trace_id = 0;
+};
+
 /// One worker's bank of search engines over an index group: one FmIndex,
-/// or the shards of a ShardedIndex. Answer() is THE per-query step —
-/// BatchSearcher's pool workers and serve::Session's workers each own one
-/// bank and call it once per query, so the result-cache key, the sharded
-/// seam rule and the stats contract cannot drift between batch and served
-/// search. Engines are thin const views over the shared immutable indexes,
-/// so constructing a bank is cheap and banks on different threads never
-/// contend.
+/// or the shards of a ShardedIndex. AnswerAll() is THE query path —
+/// BatchSearcher's pool workers call it once per batch and serve::Session's
+/// workers once per query (through Answer), so the result-cache key, the
+/// sharded seam rule and the stats contract cannot drift between batch and
+/// served search. Engines are thin const views over the shared immutable
+/// indexes, so constructing a bank is cheap and banks on different threads
+/// never contend.
 ///
-/// Not thread-safe: one bank per worker thread (the AlgorithmA scratch is
-/// mutable per-query state). Banks may share one ResultCache.
+/// Not thread-safe: one bank per worker thread (the AlgorithmA scratch and
+/// the walk slots are mutable per-query state). Banks may share one
+/// ResultCache.
 class EngineBank {
  public:
   /// `index` must be non-null and outlive the bank. The bank consults
@@ -254,7 +268,8 @@ class EngineBank {
   EngineBank(const EngineBank&) = delete;
   EngineBank& operator=(const EngineBank&) = delete;
 
-  /// Answers `query` under `engine` against the whole group:
+  /// Answers `query` under `engine` against the whole group: AnswerAll
+  /// with this one query. Per query, AnswerAll
   ///  1. looks it up in the result cache, keyed by the resolved engine and
   ///     the group's version (FmIndexVersion / ShardedIndexVersion);
   ///  2. on a miss runs the resolved engine on each index — except that a
@@ -268,6 +283,22 @@ class EngineBank {
   QueryAnswer Answer(BatchEngine engine, const BatchQuery& query,
                      obs::TraceSink* sink = nullptr, uint64_t trace_id = 0,
                      uint32_t thread_index = 0);
+
+  /// Answers every query `next` hands out (it returns false when there are
+  /// no more) and passes each answer to `done` with its claim's id, in the
+  /// order the answers complete. A query that runs under kBidirectional
+  /// (kAuto resolved) on a single index becomes a scheme walk: up to
+  /// BidirWalkSet::kBatchWalks walks are in flight at once, stepped
+  /// round-robin on this thread, and `next` is called again as soon as one
+  /// finishes. Every other query — other engines, sharded groups, cache
+  /// hits, k < 0 — is answered on the spot, one at a time. Either way a
+  /// query's answer, stats, cache entry and trace are those Answer gives
+  /// it alone; a walk's trace times only its own turns
+  /// (BidirWalkSet::own_nanos).
+  void AnswerAll(BatchEngine engine,
+                 const std::function<bool(QueryClaim*)>& next,
+                 const std::function<void(uint64_t id, QueryAnswer&&)>& done,
+                 obs::TraceSink* sink = nullptr, uint32_t thread_index = 0);
 
   /// Runs `query` with `engine` (kAuto resolved) against index
   /// `index_slot` alone — local coordinates, no cache, no seam rule.
@@ -301,6 +332,12 @@ class EngineBank {
   size_t num_indexes() const;
 
  private:
+  // AnswerAll's per-query step: starts a walk for `claim` and returns true,
+  // or answers it into `*answer` and returns false.
+  bool StartOrAnswer(BatchEngine engine, const QueryClaim& claim,
+                     obs::TraceSink* sink, uint32_t thread_index,
+                     QueryAnswer* answer);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -7,8 +7,8 @@
 // hands each to the first free worker; callers collect results by ticket
 // (Poll/Wait/WaitFor) or by completion callback. Results are byte-identical
 // to the direct engines: every ticket is one EngineBank::Answer call, the
-// same per-query step the BatchSearcher workers run — one result cache key,
-// one seam rule (ResolveShardedHits), one stats contract.
+// one-query case of the path the BatchSearcher workers take — one result
+// cache key, one seam rule (ResolveShardedHits), one stats contract.
 //
 //   bwtk::serve::Session session(&index, {.num_threads = 4});
 //   auto ticket = session.Submit({pattern, k});

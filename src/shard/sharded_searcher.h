@@ -1,7 +1,7 @@
 // Exact batched search over a ShardedIndex.
 //
 // A sharded pool answers every query against every shard on one worker
-// (EngineBank::Answer, the same per-query step serve::Session runs),
+// (EngineBank::AnswerAll, one query at a time, as serve::Session does),
 // translates the per-shard hits back to global text coordinates, and
 // resolves the seams: a window starting near a core boundary lies in more
 // than one slice and is found by each of them, so every hit is kept only by

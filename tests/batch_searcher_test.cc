@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bidir/bi_fm_index.h"
+#include "bidir/bidir_search.h"
 #include "search/batch_searcher.h"
 #include "search/kerror_search.h"
 #include "search/searcher.h"
@@ -401,6 +402,72 @@ TEST(BatchSearcherTest, AutoEngineMatchesAlgorithmAWithAndWithoutBidir) {
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(result.occurrences[i], expected[i])
           << "query " << i << (with_bidir ? " with" : " without") << " bidir";
+    }
+  }
+}
+
+TEST(BatchSearcherTest, InterleavedWalksMatchSerialEnginesFieldByField) {
+  // A worker keeps up to BidirWalkSet::kBatchWalks scheme walks in flight.
+  // Short queries (Algorithm A under kAuto) mixed with long ones, repeats
+  // included: per-query hits and the aggregate stats must equal the serial
+  // engines' on 1, 2 and 8 threads, with the result cache off and on.
+  BidirWorkload workload = MakeBidirWorkload(20000, 0, 151);
+  Rng rng(152);
+  std::vector<BatchQuery> queries;
+  for (size_t i = 0; i < 90; ++i) {
+    const int32_t k = static_cast<int32_t>(i % 5);
+    const size_t len =
+        i % 2 == 0 ? 8 + rng.NextBounded(16) : 24 + rng.NextBounded(80);
+    if (i % 3 == 0) {
+      queries.push_back({RandomDna(len, &rng), k});
+    } else {
+      const size_t pos = rng.NextBounded(workload.text.size() - len);
+      queries.push_back(
+          {SampleWithFlips(workload.text, pos, len, k, &rng), k});
+    }
+  }
+  for (size_t i = 0; i < 20; ++i) {
+    queries.push_back(queries[rng.NextBounded(queries.size())]);
+  }
+  const BidirectionalSearch bidir(&workload.bidir);
+  for (const BatchEngine engine :
+       {BatchEngine::kBidirectional, BatchEngine::kAuto}) {
+    std::vector<std::vector<Occurrence>> expected;
+    SearchStats expected_stats;
+    for (const BatchQuery& query : queries) {
+      const BatchEngine resolved =
+          engine == BatchEngine::kAuto
+              ? AutoPickEngine(query.pattern.size(), query.k, true)
+              : engine;
+      SearchStats stats;
+      expected.push_back(
+          resolved == BatchEngine::kBidirectional
+              ? bidir.Search(query.pattern, query.k, &stats)
+              : workload.searcher.Search(query.pattern, query.k, &stats));
+      expected_stats += stats;
+    }
+    for (const int threads : {1, 2, 8}) {
+      for (const bool cached : {false, true}) {
+        BatchOptions options;
+        options.num_threads = threads;
+        options.engine = engine;
+        options.bidir_indexes = {&workload.bidir};
+        options.result_cache.enabled = cached;
+        BatchSearcher batch(workload.searcher, options);
+        // With the cache on, the second pass is served from it.
+        for (int pass = 0; pass < (cached ? 2 : 1); ++pass) {
+          const BatchResult result = batch.Search(queries);
+          ASSERT_EQ(result.occurrences.size(), queries.size());
+          for (size_t i = 0; i < queries.size(); ++i) {
+            ASSERT_EQ(result.occurrences[i], expected[i])
+                << BatchEngineName(engine) << ", " << threads
+                << " threads, cache " << cached << ", query " << i;
+          }
+          EXPECT_EQ(result.stats, expected_stats)
+              << BatchEngineName(engine) << ", " << threads
+              << " threads, cache " << cached << ", pass " << pass;
+        }
+      }
     }
   }
 }

@@ -150,6 +150,20 @@ TEST(BiFmIndexTest, ReverseKeyReversesBase4Digits) {
   EXPECT_EQ(BiFmIndex::ReverseKey(key, 4), rev);
   EXPECT_EQ(BiFmIndex::ReverseKey(rev, 4), key);
   EXPECT_EQ(BiFmIndex::ReverseKey(0, 12), 0u);
+  // Against a digit-by-digit reversal, for every q a table can have.
+  Rng rng(106);
+  for (uint32_t q = 1; q <= PrefixIntervalTable::kMaxQ; ++q) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const uint64_t key = rng.NextBounded(PrefixIntervalTable::KeyCount(q));
+      uint64_t digits = key;
+      uint64_t reversed = 0;
+      for (uint32_t i = 0; i < q; ++i) {
+        reversed = (reversed << 2) | (digits & 3);
+        digits >>= 2;
+      }
+      ASSERT_EQ(BiFmIndex::ReverseKey(key, q), reversed) << "q = " << q;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -617,6 +631,139 @@ TEST(BidirectionalSearchTest, StatsCountPruningByKind) {
   EXPECT_GT(stats.extend_calls, 0u);
   EXPECT_GT(stats.budget_pruned, 0u);
   EXPECT_GT(stats.tau_pruned, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// BidirWalkSet: several walks in flight answer like one at a time
+// ---------------------------------------------------------------------------
+
+struct WalkAnswer {
+  std::vector<Occurrence> hits;
+  SearchStats stats;
+};
+
+// Answers `queries` through a set of `width` slots the way EngineBank does:
+// fill every free slot, step until a walk finishes, refill its slot.
+std::vector<WalkAnswer> AnswerThroughWalks(
+    const BidirectionalSearch& engine,
+    const std::vector<std::pair<std::vector<DnaCode>, int32_t>>& queries,
+    size_t width) {
+  BidirWalkSet walks(width);
+  EXPECT_EQ(walks.width(), width);
+  std::vector<WalkAnswer> answers(queries.size());
+  std::vector<size_t> query_in_slot(width);
+  size_t next = 0;
+  for (;;) {
+    while (next < queries.size() && walks.in_flight() < walks.width()) {
+      const size_t slot = walks.FreeSlot();
+      query_in_slot[slot] = next;
+      walks.Start(slot, engine, queries[next].first, queries[next].second,
+                  nullptr);
+      ++next;
+    }
+    const size_t slot = walks.Next();
+    if (slot == BidirWalkSet::kNoSlot) break;
+    WalkAnswer& answer = answers[query_in_slot[slot]];
+    answer.hits = walks.TakeHits(slot);
+    answer.stats = walks.stats(slot);
+    EXPECT_EQ(walks.own_nanos(slot), 0u);  // untraced walks read no clock
+  }
+  EXPECT_EQ(next, queries.size());
+  EXPECT_EQ(walks.in_flight(), 0u);
+  return answers;
+}
+
+TEST(BidirWalkSetTest, InterleavedWalksMatchOneAtATimeAndNaive) {
+  // About 300 queries over two texts: k up to 5 (the pigeonhole fallback),
+  // lengths 1..71 (short ones fall back to the Trivial scheme), plus
+  // patterns longer than the text, empty patterns and k < 0.
+  for (const size_t n : {size_t{1000}, size_t{5000}}) {
+    Rng rng(400 + n);
+    const auto text = RandomDna(n, &rng);
+    const auto index = BiFmIndex::Build(text).value();
+    const BidirectionalSearch engine(&index);
+    const NaiveSearch naive(&text);
+    std::vector<std::pair<std::vector<DnaCode>, int32_t>> queries;
+    for (int i = 0; i < 150; ++i) {
+      const size_t length = 1 + rng.NextBounded(71);
+      const int32_t k = static_cast<int32_t>(rng.NextBounded(6));
+      if (rng.NextBool(0.6)) {
+        queries.push_back(
+            {SampleWithFlips(text, rng.NextBounded(n - length + 1), length,
+                             static_cast<int>(rng.NextBounded(4)), &rng),
+             k});
+      } else {
+        queries.push_back({RandomDna(length, &rng), k});
+      }
+    }
+    queries.push_back({RandomDna(n + 5, &rng), 2});
+    queries.push_back({{}, 1});
+    queries.push_back({RandomDna(30, &rng), -1});
+
+    std::vector<WalkAnswer> alone;
+    for (const auto& [pattern, k] : queries) {
+      WalkAnswer answer;
+      answer.hits = engine.Search(pattern, k, &answer.stats);
+      if (!pattern.empty() && pattern.size() <= n && k >= 0) {
+        ASSERT_EQ(answer.hits, naive.Search(pattern, k))
+            << "n = " << n << " m = " << pattern.size() << " k = " << k;
+      } else {
+        EXPECT_TRUE(answer.hits.empty());
+        EXPECT_EQ(answer.stats, SearchStats{});
+      }
+      alone.push_back(std::move(answer));
+    }
+    for (const size_t width : {size_t{1}, size_t{3}, size_t{8},
+                               queries.size() + 5}) {
+      const std::vector<WalkAnswer> interleaved =
+          AnswerThroughWalks(engine, queries, width);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_EQ(interleaved[q].hits, alone[q].hits)
+            << "n = " << n << " width " << width << " query " << q;
+        ASSERT_EQ(interleaved[q].stats, alone[q].stats)
+            << "n = " << n << " width " << width << " query " << q;
+      }
+    }
+  }
+}
+
+TEST(BidirWalkSetTest, TracedWalksKeepTheirOwnNodesAndTime) {
+  // Each walk records into its own trace; with eight in flight, every trace
+  // must still profile exactly its own query's nodes.
+  Rng rng(410);
+  const auto text = RandomDna(4000, &rng);
+  const auto index = BiFmIndex::Build(text).value();
+  const BidirectionalSearch engine(&index);
+  std::vector<std::vector<DnaCode>> patterns;
+  for (int i = 0; i < 8; ++i) {
+    patterns.push_back(SampleWithFlips(text, rng.NextBounded(3900), 40 + i,
+                                       i % 3, &rng));
+  }
+  BidirWalkSet walks(8);
+  std::vector<obs::Trace> traces(patterns.size());
+  std::vector<size_t> query_in_slot(walks.width());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const size_t slot = walks.FreeSlot();
+    query_in_slot[slot] = i;
+    walks.Start(slot, engine, patterns[i], 2, &traces[i]);
+  }
+  for (size_t done = 0; done < patterns.size(); ++done) {
+    const size_t slot = walks.Next();
+    ASSERT_NE(slot, BidirWalkSet::kNoSlot);
+    const size_t i = query_in_slot[slot];
+    SearchStats alone;
+    EXPECT_EQ(walks.TakeHits(slot), engine.Search(patterns[i], 2, &alone));
+    EXPECT_EQ(walks.stats(slot), alone);
+    const obs::Trace& trace = traces[i];
+    if (BWTK_METRICS_ENABLED) {
+      EXPECT_EQ(trace.NodesExpanded(), alone.stree_nodes);
+    }
+    ASSERT_EQ(trace.spans.size(), 1u);
+    EXPECT_EQ(trace.spans[0].name, "bidir_scheme_walk");
+    EXPECT_EQ(trace.spans[0].dur_ns, walks.own_nanos(slot));
+    EXPECT_GT(walks.own_nanos(slot), 0u);
+  }
+  EXPECT_EQ(walks.Next(), BidirWalkSet::kNoSlot);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "bidir/bi_fm_index.h"
+#include "bidir/bidir_search.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -371,6 +373,52 @@ TEST_F(TraceEngineTest, BatchSearcherSamplesEverythingAtRateOne) {
   const auto after = sink->SampledTraces();
   ASSERT_EQ(after.size(), 2 * queries.size());
   EXPECT_EQ(after[queries.size()].trace_id, uint64_t{1} << 32);
+}
+
+TEST_F(TraceEngineTest, InterleavedWalksTraceOneQueryEach) {
+  // A bidirectional pool walks several queries at once on each worker; each
+  // walk must record into its own trace, with its own stats and nodes.
+  const BiFmIndex bidir = BiFmIndex::Build(genome_).value();
+  Rng rng(8);
+  std::vector<BatchQuery> queries;
+  for (size_t i = 0; i < 40; ++i) {
+    const size_t length = 30 + rng.NextBounded(50);
+    const int32_t k = static_cast<int32_t>(i % 4);
+    queries.push_back(
+        {SampleWithFlips(genome_, rng.NextBounded(genome_.size() - length),
+                         length, k, &rng),
+         k});
+  }
+  BatchOptions options;
+  options.num_threads = 2;
+  options.engine = BatchEngine::kBidirectional;
+  options.bidir_indexes = {&bidir};
+  BatchSearcher plain(*searcher_, options);
+  const BatchResult expected = plain.Search(queries);
+  options.trace_sample_rate = 1.0;
+  BatchSearcher traced(*searcher_, options);
+  const BatchResult result = traced.Search(queries);
+  EXPECT_EQ(result.occurrences, expected.occurrences);
+  EXPECT_EQ(result.stats, expected.stats);
+  if (!BWTK_METRICS_ENABLED) return;
+
+  const BidirectionalSearch engine(&bidir);
+  const auto sampled = traced.trace_sink()->SampledTraces();
+  ASSERT_EQ(sampled.size(), queries.size());
+  for (size_t i = 0; i < sampled.size(); ++i) {
+    const obs::Trace& trace = sampled[i];
+    EXPECT_EQ(trace.trace_id, i);
+    EXPECT_EQ(trace.engine, "bidirectional");
+    EXPECT_EQ(trace.matches, expected.occurrences[i].size());
+    SearchStats alone;
+    engine.Search(queries[i].pattern, queries[i].k, &alone);
+    EXPECT_EQ(trace.stats, alone) << "query " << i;
+    EXPECT_EQ(trace.NodesExpanded(), trace.stats.stree_nodes) << "query " << i;
+    // wall_ns times the walk's own turns, which its one span also covers.
+    ASSERT_EQ(trace.spans.size(), 1u);
+    EXPECT_EQ(trace.spans[0].name, "bidir_scheme_walk");
+    EXPECT_EQ(trace.spans[0].dur_ns, trace.wall_ns);
+  }
 }
 
 // --- Export ---------------------------------------------------------------
