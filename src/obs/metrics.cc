@@ -24,6 +24,7 @@ constexpr std::string_view kCounterNames[kNumCounters] = {
     "serve_served_wildcard", "serve_served_dictionary",
     "serve_served_bidirectional",
     "bidir_searches", "bidir_left_extends", "bidir_right_extends",
+    "bidir_verified_rows",
 };
 
 constexpr std::string_view kPhaseNames[kNumPhases] = {

@@ -138,6 +138,9 @@ enum CounterId : uint32_t {
   kCounterBidirSearches,      ///< scheme searches walked (per query, per search).
   kCounterBidirLeftExtends,   ///< leftward BiFmIndex ExtendAll steps.
   kCounterBidirRightExtends,  ///< rightward BiFmIndex ExtendAll steps.
+  /// Rows of narrow frames that a scheme walk read on in the text instead
+  /// of extending them (complete frames' rows are not counted).
+  kCounterBidirVerifiedRows,
   kNumCounters
 };
 
