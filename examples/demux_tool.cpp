@@ -1,7 +1,7 @@
 // demux_tool — assign sequencing reads to sample barcodes with the
-// dictionary engine (PatternSetTrie + DictionarySearcher::SearchBest),
-// the library's kaori-style demultiplexer. See docs/DICTIONARY.md for the
-// walkthrough this tool anchors.
+// library's kaori-style demultiplexer (PatternSetTrie + DemuxReads, a
+// capped walk of the barcode trie at every read offset). See
+// docs/DICTIONARY.md for the walkthrough this tool anchors.
 //
 //   $ ./demux_tool                                # demo on simulated reads
 //   $ ./demux_tool reads.fq acgtacgt,ttttcccc 1   # demux a FASTQ file

@@ -123,8 +123,6 @@ bool ResolveEngine(const std::string& name, bwtk::BatchEngine* engine) {
     *engine = bwtk::BatchEngine::kKError;
   } else if (name == "wildcard") {
     *engine = bwtk::BatchEngine::kWildcard;
-  } else if (name == "dictionary") {
-    *engine = bwtk::BatchEngine::kDictionary;
   } else if (name == "bidirectional") {
     *engine = bwtk::BatchEngine::kBidirectional;
   } else if (name == "auto") {
@@ -132,7 +130,7 @@ bool ResolveEngine(const std::string& name, bwtk::BatchEngine* engine) {
   } else {
     std::fprintf(stderr,
                  "unknown engine %s (algorithm_a|stree|kerror|wildcard|"
-                 "dictionary|bidirectional|auto)\n",
+                 "bidirectional|auto)\n",
                  name.c_str());
     return false;
   }

@@ -25,7 +25,6 @@
 #include "baselines/naive_search.h"
 #include "bwt/fm_index.h"
 #include "dict/demux.h"
-#include "dict/dictionary_searcher.h"
 #include "dict/pattern_set_trie.h"
 #include "mismatch/mismatch_array.h"
 #include "obs/exposition.h"

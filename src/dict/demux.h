@@ -1,14 +1,15 @@
-// Read demultiplexing on top of DictionarySearcher::SearchBest: assign each
-// read to the barcode with the fewest-mismatch occurrence anywhere in the
-// read, kaori-style — ties between different barcodes make the read
-// ambiguous, no hit within the budget leaves it unassigned.
+// Read demultiplexing, kaori-style: assign each read to the barcode with the
+// fewest-mismatch occurrence anywhere in the read. Ties between different
+// barcodes make the read ambiguous; no hit within the budget leaves it
+// unassigned.
 //
-// Each read is indexed (a throw-away FM-index over the read itself) and the
-// whole barcode trie is searched against it in one joint descent. Reads are
-// short, so the per-read index build is microseconds; the win is on the
-// barcode side, where thousands of barcodes cost one walk. examples/
-// demux_tool.cpp drives this end to end and docs/DICTIONARY.md walks the
-// tutorial.
+// The barcode trie is walked directly at every read offset, as kaori's
+// MismatchTrie::search does, with the budget capped at the best count found
+// so far: a branch already worse than the best hit can neither win nor tie,
+// so it is cut. Reads are tens of bases and a walk touches only the trie
+// nodes within the cap of the read's window, so no index is built per read.
+// examples/demux_tool.cpp drives this end to end and docs/DICTIONARY.md
+// walks the tutorial.
 
 #ifndef BWTK_DICT_DEMUX_H_
 #define BWTK_DICT_DEMUX_H_
@@ -35,18 +36,19 @@ struct DemuxAssignment {
     kUnassigned,  ///< no barcode occurs within the budget
   };
   Outcome outcome = Outcome::kUnassigned;
-  /// Canonical barcode id (valid for kAssigned and kAmbiguous — for the
-  /// latter it is the first of the tied barcodes); -1 when unassigned.
+  /// Barcode id (valid for kAssigned and kAmbiguous — for the latter it is
+  /// the lowest of the tied barcode ids); -1 when unassigned.
   int32_t barcode = -1;
   /// Mismatches of the best hit; -1 when unassigned.
   int32_t mismatches = -1;
-  /// Smallest read offset of the winning barcode's best hit.
+  /// Smallest read offset of the named barcode's best hit.
   size_t position = 0;
 };
 
 /// Assigns every read against the barcode trie. result[i] answers reads[i].
-/// Fails only on malformed input (a read shorter than the barcode length is
-/// not an error — it is simply unassigned).
+/// Fails with InvalidArgument on a negative budget, or on a read at least
+/// as long as the barcodes that holds a code outside a/c/g/t. A read shorter
+/// than the barcode length is not an error — it is simply unassigned.
 Result<std::vector<DemuxAssignment>> DemuxReads(
     const PatternSetTrie& barcodes,
     const std::vector<std::vector<DnaCode>>& reads,

@@ -3,24 +3,18 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace bwtk {
 
 Result<PatternSetTrie> PatternSetTrie::Build(
-    const std::vector<std::vector<DnaCode>>& patterns,
-    const Options& options) {
-  PatternSetTrie trie;
-  // The root always exists, so an empty set still walks (to zero depth).
-  trie.nodes_.assign(kDnaAlphabetSize, -1);
+    const std::vector<std::vector<DnaCode>>& patterns) {
+  PatternSetTrie trie;  // just the root: what an empty set builds
   if (patterns.empty()) return trie;
 
   trie.length_ = patterns[0].size();
   if (trie.length_ == 0) {
     return Status::InvalidArgument("pattern 0 is empty");
   }
-  trie.canonical_.reserve(patterns.size());
-  trie.patterns_ = patterns;
+  trie.num_patterns_ = patterns.size();
 
   for (size_t id = 0; id < patterns.size(); ++id) {
     const std::vector<DnaCode>& pattern = patterns[id];
@@ -29,7 +23,7 @@ Result<PatternSetTrie> PatternSetTrie::Build(
           "pattern " + std::to_string(id) + " has length " +
           std::to_string(pattern.size()) + " but pattern 0 has length " +
           std::to_string(trie.length_) +
-          " (a dictionary holds equal-length patterns)");
+          " (a pattern set holds equal-length patterns)");
     }
     for (size_t pos = 0; pos < pattern.size(); ++pos) {
       // Wildcard/sentinel codes have no trie edge; catch them here rather
@@ -55,24 +49,17 @@ Result<PatternSetTrie> PatternSetTrie::Build(
         static_cast<size_t>(node) + pattern[trie.length_ - 1];
     const int32_t existing = trie.nodes_[leaf_slot];
     if (existing >= 0) {
-      if (!options.allow_duplicates) {
-        return Status::InvalidArgument(
-            "pattern " + std::to_string(id) + " duplicates pattern " +
-            std::to_string(existing) +
-            " (set Options::allow_duplicates to deduplicate instead)");
-      }
-      trie.canonical_.push_back(existing);
-    } else {
-      trie.nodes_[leaf_slot] = static_cast<int32_t>(id);
-      trie.canonical_.push_back(static_cast<int32_t>(id));
+      return Status::InvalidArgument("pattern " + std::to_string(id) +
+                                     " duplicates pattern " +
+                                     std::to_string(existing));
     }
+    trie.nodes_[leaf_slot] = static_cast<int32_t>(id);
   }
-  BWTK_METRIC_COUNT_N(kCounterDictTrieNodes, trie.node_count());
   return trie;
 }
 
 Result<PatternSetTrie> PatternSetTrie::Build(
-    const std::vector<std::string>& patterns, const Options& options) {
+    const std::vector<std::string>& patterns) {
   std::vector<std::vector<DnaCode>> encoded;
   encoded.reserve(patterns.size());
   for (size_t id = 0; id < patterns.size(); ++id) {
@@ -83,7 +70,7 @@ Result<PatternSetTrie> PatternSetTrie::Build(
     }
     encoded.push_back(std::move(codes).value());
   }
-  return Build(encoded, options);
+  return Build(encoded);
 }
 
 }  // namespace bwtk

@@ -1,6 +1,6 @@
 // A trie over a set of equal-length DNA patterns (barcodes, adapters,
-// probes), built once and walked jointly with the FM-index descent by
-// DictionarySearcher so that every shared pattern prefix is searched once.
+// probes), built once and walked by DemuxReads (dict/demux.h) at every read
+// offset, so that every shared pattern prefix is compared once per offset.
 //
 // The layout follows kaori's MismatchTrie: one flat int32_t array, four
 // child slots per node, root at offset 0. A slot holds -1 when the edge is
@@ -9,10 +9,9 @@
 // ends there (all patterns have the same length, so a slot's meaning is
 // determined by its depth alone — there are no interior leaves).
 //
-// Ambiguity is resolved at build time: duplicate patterns are rejected by
-// default (the error names both colliding pattern indices), or — with
-// Options::allow_duplicates — deduplicated so that every duplicate maps to
-// the first (canonical) pattern with the same sequence via canonical_of().
+// Duplicate patterns are rejected at build time with an error naming both
+// colliding pattern indices: a read matching a duplicated barcode could
+// never be assigned.
 
 #ifndef BWTK_DICT_PATTERN_SET_TRIE_H_
 #define BWTK_DICT_PATTERN_SET_TRIE_H_
@@ -28,46 +27,23 @@ namespace bwtk {
 
 class PatternSetTrie {
  public:
-  /// An empty trie: length 0, no patterns, just the root. The value
-  /// Build({}) returns; also the default so the trie can live by value in
-  /// batch-dispatch structures.
-  PatternSetTrie() : nodes_(kDnaAlphabetSize, -1) {}
-
-  struct Options {
-    /// Accept byte-identical duplicate patterns. Each duplicate is mapped
-    /// to the first pattern with that sequence (see canonical_of()); the
-    /// default rejects duplicates with an error naming both indices, the
-    /// behaviour a barcode set wants at configuration time.
-    bool allow_duplicates = false;
-  };
-
   /// Builds the trie from 2-bit-coded patterns. All patterns must be
-  /// non-empty and share one length; violations (and duplicates, unless
-  /// allowed) yield InvalidArgument naming the offending pattern index.
-  /// An empty pattern list is valid and produces an empty trie.
+  /// non-empty, distinct and share one length; violations yield
+  /// InvalidArgument naming the offending pattern index. An empty pattern
+  /// list is valid and produces an empty trie.
   static Result<PatternSetTrie> Build(
-      const std::vector<std::vector<DnaCode>>& patterns,
-      const Options& options);
-  static Result<PatternSetTrie> Build(
-      const std::vector<std::vector<DnaCode>>& patterns) {
-    return Build(patterns, Options());
-  }
+      const std::vector<std::vector<DnaCode>>& patterns);
 
   /// ASCII convenience overload: each pattern is validated by EncodeDna, so
   /// ambiguous bases ('N', IUPAC codes, ...) are rejected here with an
   /// error naming the pattern index and the offending character — the trie
   /// stores only the 4-letter alphabet.
-  static Result<PatternSetTrie> Build(const std::vector<std::string>& patterns,
-                                      const Options& options);
-  static Result<PatternSetTrie> Build(
-      const std::vector<std::string>& patterns) {
-    return Build(patterns, Options());
-  }
+  static Result<PatternSetTrie> Build(const std::vector<std::string>& patterns);
 
   /// Shared length of every pattern (0 for the empty set).
   size_t length() const { return length_; }
-  /// Number of patterns the trie was built from, duplicates included.
-  size_t num_patterns() const { return patterns_.size(); }
+  /// Number of patterns the trie was built from.
+  size_t num_patterns() const { return num_patterns_; }
   /// Trie nodes allocated (≥ 1: the root always exists).
   size_t node_count() const { return nodes_.size() / kDnaAlphabetSize; }
 
@@ -76,29 +52,20 @@ class PatternSetTrie {
 
   /// Child slot of `node` for symbol `c`: -1 when absent; otherwise the
   /// child node offset, or — when `node` sits at depth length()-1 — the
-  /// canonical id of the pattern ending through that edge.
+  /// id of the pattern ending through that edge.
   int32_t Child(int32_t node, DnaCode c) const {
     return nodes_[static_cast<size_t>(node) + c];
   }
 
-  /// First pattern index with the same sequence as pattern `id` (== `id`
-  /// unless duplicates were allowed and `id` is a duplicate).
-  int32_t canonical_of(int32_t id) const {
-    return canonical_[static_cast<size_t>(id)];
-  }
-
-  /// The id-th pattern as given to Build.
-  const std::vector<DnaCode>& pattern(int32_t id) const {
-    return patterns_[static_cast<size_t>(id)];
-  }
-
  private:
+  /// An empty trie: length 0, no patterns, just the root.
+  PatternSetTrie() : nodes_(kDnaAlphabetSize, -1) {}
+
   size_t length_ = 0;
+  size_t num_patterns_ = 0;
   /// Flat node pool: node i occupies nodes_[i .. i+3] (offsets, not ids,
   /// so Child() is one load with no multiply).
   std::vector<int32_t> nodes_;
-  std::vector<int32_t> canonical_;
-  std::vector<std::vector<DnaCode>> patterns_;
 };
 
 }  // namespace bwtk

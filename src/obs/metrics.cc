@@ -15,13 +15,11 @@ constexpr std::string_view kCounterNames[kNumCounters] = {
     "prefix_table_hits", "prefix_table_skipped_steps",
     "shard_queries",   "seam_hits_deduped",
     "serve_submitted", "serve_completed", "serve_overloaded",
-    "dict_searches",   "dict_patterns",   "dict_trie_nodes",
-    "dict_shared_extends",
     "result_cache_hits", "result_cache_misses", "result_cache_evictions",
     "shard_exact_shortcuts",
     "serve_stats_trailers", "serve_conn_overloaded",
     "serve_served_algorithm_a", "serve_served_stree", "serve_served_kerror",
-    "serve_served_wildcard", "serve_served_dictionary",
+    "serve_served_wildcard",
     "serve_served_bidirectional",
     "bidir_searches", "bidir_left_extends", "bidir_right_extends",
     "bidir_verified_rows",

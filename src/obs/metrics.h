@@ -96,16 +96,6 @@ enum CounterId : uint32_t {
   /// Submissions rejected by admission control (queue full or the client's
   /// in-flight budget exhausted) — the service's Overloaded responses.
   kCounterServeOverloaded,
-  // dictionary layer (dict/dictionary_searcher.h). Flushed once per
-  // SearchAll/SearchBest call, never per node.
-  kCounterDictSearches,  ///< DictionarySearcher walks executed.
-  kCounterDictPatterns,  ///< patterns answered by those walks (set sizes).
-  kCounterDictTrieNodes,  ///< PatternSetTrie nodes allocated at build.
-  /// ExtendAll calls issued at joint-descent states with >= 2 live trie
-  /// children — the amortization events where one rank pass answered for
-  /// multiple patterns at once. Compare against extendall_calls to see how
-  /// much sharing the pattern set actually exposes.
-  kCounterDictSharedExtends,
   // cross-query result cache (search/result_cache.h), counted inside the
   // cache (per query, never per node).
   kCounterResultCacheHits,       ///< queries answered from the result cache.
@@ -129,7 +119,6 @@ enum CounterId : uint32_t {
   kCounterServeServedStree,       ///< tickets served by the stree engine.
   kCounterServeServedKError,      ///< tickets served by the kerror engine.
   kCounterServeServedWildcard,    ///< tickets served by the wildcard engine.
-  kCounterServeServedDictionary,  ///< tickets served by the dictionary engine.
   /// Tickets served by the bidirectional engine. kAuto tickets count under
   /// the engine the auto-pick resolved to, never a separate bucket.
   kCounterServeServedBidirectional,

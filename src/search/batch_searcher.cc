@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -42,8 +41,6 @@ std::string_view BatchEngineName(BatchEngine engine) {
       return "kerror";
     case BatchEngine::kWildcard:
       return "wildcard";
-    case BatchEngine::kDictionary:
-      return "dictionary";
     case BatchEngine::kBidirectional:
       return "bidirectional";
     case BatchEngine::kAuto:
@@ -108,7 +105,6 @@ struct EngineBank::Impl {
   std::vector<STreeSearch> stree_engines;
   std::vector<KErrorSearch> kerror_engines;
   std::vector<WildcardSearch> wildcard_engines;
-  std::vector<DictionarySearcher> dict_engines;
   // unique_ptr because BidirectionalSearch owns a mutex (scheme cache) and
   // cannot be vector-moved.
   std::vector<std::unique_ptr<BidirectionalSearch>> bidir_engines;
@@ -140,14 +136,12 @@ struct EngineBank::Impl {
     stree_engines.reserve(n);
     kerror_engines.reserve(n);
     wildcard_engines.reserve(n);
-    dict_engines.reserve(n);
     for (const FmIndex* index : indexes) {
       BWTK_CHECK(index != nullptr);
       a_engines.emplace_back(index, options.algorithm_a);
       stree_engines.emplace_back(index, options.stree);
       kerror_engines.emplace_back(index);
       wildcard_engines.emplace_back(index);
-      dict_engines.emplace_back(index);
     }
     if (!options.bidir_indexes.empty()) {
       BWTK_CHECK_EQ(options.bidir_indexes.size(), n);
@@ -384,21 +378,6 @@ std::vector<Occurrence> EngineBank::RunWith(BatchEngine engine,
       hits = impl_->wildcard_engines[index_slot].Search(query.pattern,
                                                         query.k, stats);
       break;
-    case BatchEngine::kDictionary: {
-      // Ticket-at-a-time form: a one-pattern trie, one joint descent. Build
-      // can only fail on malformed input (empty pattern, out-of-range
-      // codes), which — like an empty pattern under the other engines —
-      // yields an empty hit list.
-      Result<PatternSetTrie> trie = PatternSetTrie::Build({query.pattern});
-      if (trie.ok()) {
-        std::vector<std::vector<Occurrence>> per_pattern =
-            impl_->dict_engines[index_slot].SearchAll(*trie, query.k, stats);
-        hits = std::move(per_pattern[0]);
-      } else if (stats != nullptr) {
-        *stats = SearchStats{};
-      }
-      break;
-    }
     case BatchEngine::kBidirectional:
       BWTK_CHECK(!impl_->bidir_engines.empty())
           << "kBidirectional needs BatchOptions::bidir_indexes";
@@ -415,26 +394,14 @@ std::vector<Occurrence> EngineBank::RunWith(BatchEngine engine,
   return hits;
 }
 
-std::vector<std::vector<Occurrence>> EngineBank::RunDictionary(
-    const PatternSetTrie& trie, int32_t k, size_t index_slot,
-    SearchStats* stats) {
-  BWTK_CHECK(impl_->options.engine == BatchEngine::kDictionary);
-  // SearchAll's per-pattern lists are position-sorted, as RunWith's are.
-  return impl_->dict_engines[index_slot].SearchAll(trie, k, stats);
-}
-
-std::string_view EngineBank::engine_name() const {
-  return BatchEngineName(impl_->options.engine);
-}
-
 size_t EngineBank::num_indexes() const { return impl_->indexes.size(); }
 
 // All pool state. The mutex guards the batch hand-off (generation counter,
 // batch pointers, completion count); the query path itself is lock-free —
 // workers claim task indices from `cursor` and write disjoint slots of the
 // output vector, which is pre-sized before workers wake. A task is one
-// query, answered against the whole index group by EngineBank::Answer;
-// kDictionary batches instead run (group, index) tasks (see DictGroup).
+// query, answered against the whole index group by the worker's one
+// EngineBank::AnswerAll call per batch.
 struct BatchSearcher::Pool {
   const FmIndex* index = nullptr;         // exactly one of these is set
   const ShardedIndex* sharded = nullptr;
@@ -457,30 +424,12 @@ struct BatchSearcher::Pool {
   bool shutdown = false;            // (guarded by mu)
   int workers_left = 0;             // workers still in the batch (mu)
 
-  // Current batch, valid while workers_left > 0. `out` has one slot per
-  // query, or for kDictionary one per (query, index) pair.
+  // Current batch, valid while workers_left > 0; `out` has one slot per
+  // query.
   const BatchQuery* queries = nullptr;
   size_t task_count = 0;
   std::vector<std::vector<Occurrence>>* out = nullptr;
   std::atomic<size_t> cursor{0};
-
-  // kDictionary batches are dispatched at group granularity: the submitting
-  // thread folds the batch's valid queries into one PatternSetTrie per
-  // (pattern length, k) — usually a single group for a real barcode batch —
-  // and a task is a (group, index) pair whose worker answers the whole
-  // group with one joint descent, scattering per-pattern hits into the
-  // per-(query, index) `out` slots. Over shards this keeps the groups
-  // spread across workers (one joint descent per shard), and the seams are
-  // resolved after the batch. Workers write disjoint slots because each
-  // query belongs to exactly one group. Valid for the live batch, guarded
-  // by the same hand-off as `queries`. These batches bypass the result
-  // cache.
-  struct DictGroup {
-    PatternSetTrie trie;
-    int32_t k = 0;
-    std::vector<size_t> query_ids;  // indexes into the batch, input order
-  };
-  std::vector<DictGroup> dict_groups;
 
   // Tracing. The sink exists iff tracing is on (trace_sample_rate > 0 in a
   // metrics-enabled build); a null sink makes every per-query trace hook a
@@ -492,12 +441,11 @@ struct BatchSearcher::Pool {
 
   void WorkerLoop(int tid) {
     uint64_t seen = 0;
-    // The bank owns this worker's engines and AlgorithmA scratch; Answer()
-    // is the same per-query step the serving layer drives, so batch and
+    // The bank owns this worker's engines and AlgorithmA scratch; AnswerAll()
+    // is the same query path the serving layer drives, so batch and
     // streamed execution cannot drift apart.
     EngineBank bank = sharded != nullptr ? EngineBank(sharded, options)
                                          : EngineBank(index, options);
-    const std::string_view engine_name = bank.engine_name();
     const uint32_t thread_index = static_cast<uint32_t>(tid);
     for (;;) {
       uint64_t base = 0;
@@ -520,65 +468,31 @@ struct BatchSearcher::Pool {
       BWTK_SCOPED_TIMER(kPhaseWorkerSearch);
       WorkerTotals totals;
       uint64_t tasks_run = 0;
-      if (options.engine == BatchEngine::kDictionary) {
-        // Group-granular dispatch: task t answers dict_groups[t / S] against
-        // index t % S with ONE joint trie descent, then scatters the
-        // per-pattern lists into the (query, index) slots.
-        for (;;) {
-          const size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (t >= task_count) break;
-          const size_t g = t / num_indexes;
-          const size_t s = t % num_indexes;
-          const DictGroup& group = dict_groups[g];
-          if (s == 0) {
-            BWTK_METRIC_COUNT_N(kCounterBatchQueries, group.query_ids.size());
-          }
-          SearchStats task_stats;
-          // Trace id = batch sequence | task index, as below; one trace
-          // covers the whole group's descent.
-          obs::ScopedQueryTrace qt(tsink, base | t, engine_name, group.k,
-                                   group.trie.length(), thread_index,
-                                   static_cast<uint32_t>(s));
-          std::vector<std::vector<Occurrence>> per_pattern =
-              bank.RunDictionary(group.trie, group.k, s, &task_stats);
-          uint64_t matches = 0;
-          for (size_t j = 0; j < group.query_ids.size(); ++j) {
-            matches += per_pattern[j].size();
-            (*out)[group.query_ids[j] * num_indexes + s] =
-                std::move(per_pattern[j]);
-          }
-          qt.Finish(matches, task_stats);
-          totals.stats += task_stats;
-          ++tasks_run;
-        }
-      } else {
-        // The bank claims a new query whenever a walk slot frees, so this
-        // worker keeps up to BidirWalkSet::kBatchWalks queries in flight.
-        bank.AnswerAll(
-            options.engine,
-            [&](QueryClaim* claim) {
-              for (;;) {
-                const size_t q = cursor.fetch_add(1, std::memory_order_relaxed);
-                if (q >= task_count) return false;
-                // A negative budget marks a query skipped at decode time
-                // (ASCII fail_fast = false path); its slot stays empty.
-                if (queries[q].k < 0) continue;
-                BWTK_METRIC_COUNT(kCounterBatchQueries);
-                // Trace id = batch sequence | task index: stable across
-                // runs, so the sampled subset does not depend on thread
-                // assignment.
-                *claim = {&queries[q], q, base | (q * num_indexes)};
-                return true;
-              }
-            },
-            [&](uint64_t q, QueryAnswer&& answer) {
-              (*out)[q] = std::move(answer.hits);
-              totals.stats += answer.stats;
-              totals.seam_hits_deduped += answer.seam_hits_deduped;
-              ++tasks_run;
-            },
-            tsink, thread_index);
-      }
+      // The bank claims a new query whenever a walk slot frees, so this
+      // worker keeps up to BidirWalkSet::kBatchWalks queries in flight.
+      bank.AnswerAll(
+          options.engine,
+          [&](QueryClaim* claim) {
+            for (;;) {
+              const size_t q = cursor.fetch_add(1, std::memory_order_relaxed);
+              if (q >= task_count) return false;
+              // A negative budget marks a query skipped at decode time
+              // (ASCII fail_fast = false path); its slot stays empty.
+              if (queries[q].k < 0) continue;
+              BWTK_METRIC_COUNT(kCounterBatchQueries);
+              // Trace id = batch sequence | task index: stable across runs,
+              // so the sampled subset does not depend on thread assignment.
+              *claim = {&queries[q], q, base | (q * num_indexes)};
+              return true;
+            }
+          },
+          [&](uint64_t q, QueryAnswer&& answer) {
+            (*out)[q] = std::move(answer.hits);
+            totals.stats += answer.stats;
+            totals.seam_hits_deduped += answer.seam_hits_deduped;
+            ++tasks_run;
+          },
+          tsink, thread_index);
       if (tsink != nullptr) {
         // One aux lane per (batch, worker): how long the worker queued and
         // how long it searched. Kept out of the slow-query log (a lane spans
@@ -604,64 +518,16 @@ struct BatchSearcher::Pool {
     }
   }
 
-  // Folds a kDictionary batch into per-(length, k) trie groups. Queries
-  // skipped at decode time (k < 0), empty patterns, and patterns carrying
-  // non-DNA codes get no group — their slots stay empty, matching the
-  // per-query engines' handling of the same inputs.
-  std::vector<DictGroup> BuildDictGroups(
-      const std::vector<BatchQuery>& batch) {
-    std::map<std::pair<size_t, int32_t>, size_t> group_of;  // key -> index
-    std::vector<DictGroup> groups;
-    std::vector<std::vector<std::vector<DnaCode>>> group_patterns;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const BatchQuery& query = batch[i];
-      if (query.k < 0 || query.pattern.empty()) continue;
-      bool valid = true;
-      for (const DnaCode c : query.pattern) {
-        if (c >= kDnaAlphabetSize) {
-          valid = false;
-          break;
-        }
-      }
-      if (!valid) continue;
-      const std::pair<size_t, int32_t> key{query.pattern.size(), query.k};
-      auto [it, inserted] = group_of.try_emplace(key, groups.size());
-      if (inserted) {
-        groups.emplace_back();
-        groups.back().k = query.k;
-        group_patterns.emplace_back();
-      }
-      groups[it->second].query_ids.push_back(i);
-      group_patterns[it->second].push_back(query.pattern);
-    }
-    for (size_t g = 0; g < groups.size(); ++g) {
-      // Cannot fail: the patterns are non-empty, equal-length, code-valid,
-      // and duplicates are explicitly allowed (each repeated pattern simply
-      // receives a copy of its canonical pattern's hits).
-      Result<PatternSetTrie> trie = PatternSetTrie::Build(
-          group_patterns[g], {.allow_duplicates = true});
-      BWTK_CHECK(trie.ok());
-      groups[g].trie = std::move(trie).value();
-    }
-    return groups;
-  }
-
-  // Runs one batch into `slots` (pre-sized by the caller: one per query, or
-  // for kDictionary one per (query, index) pair) and folds the workers'
-  // totals into `result` in tid order.
-  void RunTasks(const std::vector<BatchQuery>& batch,
-                std::vector<std::vector<Occurrence>>* slots,
-                BatchResult* result) {
+  // Runs one batch into result->occurrences (pre-sized by the caller, one
+  // slot per query) and folds the workers' totals into `result` in tid
+  // order.
+  void RunTasks(const std::vector<BatchQuery>& batch, BatchResult* result) {
     BWTK_METRIC_COUNT(kCounterBatchBatches);
-    const bool dict = options.engine == BatchEngine::kDictionary;
-    std::vector<DictGroup> groups;
-    if (dict) groups = BuildDictGroups(batch);
     {
       std::lock_guard<std::mutex> lock(mu);
       queries = batch.data();
-      dict_groups = std::move(groups);
-      task_count = dict ? dict_groups.size() * num_indexes : batch.size();
-      out = slots;
+      task_count = batch.size();
+      out = &result->occurrences;
       cursor.store(0, std::memory_order_relaxed);
       trace_base = batch_seq << 32;
       ++batch_seq;
@@ -675,7 +541,6 @@ struct BatchSearcher::Pool {
       done_cv.wait(lock, [&] { return workers_left == 0; });
       queries = nullptr;
       out = nullptr;
-      dict_groups.clear();
     }
     // Merge in tid order so the aggregate is reproducible run to run even
     // though the task→thread assignment is not.
@@ -743,24 +608,7 @@ BatchResult BatchSearcher::Search(const std::vector<BatchQuery>& queries) {
   BatchResult result;
   if (queries.empty()) return result;
   result.occurrences.resize(queries.size());
-  const size_t num_indexes = pool_->num_indexes;
-  if (pool_->options.engine != BatchEngine::kDictionary || num_indexes == 1) {
-    pool_->RunTasks(queries, &result.occurrences, &result);
-    return result;
-  }
-  // A sharded dictionary batch: per-(query, shard) lists in local
-  // coordinates, folded by the seam rule once the batch is done.
-  std::vector<std::vector<Occurrence>> slots(queries.size() * num_indexes);
-  pool_->RunTasks(queries, &slots, &result);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const BatchQuery& query = queries[q];
-    if (query.k < 0) continue;
-    BWTK_METRIC_COUNT_N(kCounterShardQueries, num_indexes);
-    result.seam_hits_deduped += ResolveShardedHits(
-        pool_->sharded->plan(),
-        ShardedQueryWindow(query, BatchEngine::kDictionary),
-        &slots[q * num_indexes], &result.occurrences[q]);
-  }
+  pool_->RunTasks(queries, &result);
   return result;
 }
 

@@ -40,8 +40,6 @@
 #include "alphabet/dna.h"
 #include "bidir/bidir_search.h"
 #include "bwt/fm_index.h"
-#include "dict/dictionary_searcher.h"
-#include "dict/pattern_set_trie.h"
 #include "obs/trace.h"
 #include "search/algorithm_a.h"
 #include "search/match.h"
@@ -80,16 +78,6 @@ enum class BatchEngine {
   /// ASCII batch overloads decode patterns with ParseWildcardPattern
   /// ('?', '.', 'n', 'N' = wildcard) when this engine is selected.
   kWildcard,
-  /// DictionarySearcher (Hamming distance, dict/dictionary_searcher.h):
-  /// the batch's equal-length patterns are folded into PatternSetTrie
-  /// groups on the submitting thread and each group is answered by ONE
-  /// joint trie ∩ FM-index descent per index, so shared pattern prefixes
-  /// are searched once across the whole batch. Per query the hits are
-  /// byte-identical to kSTree/kAlgorithmA; the win is throughput on large
-  /// pattern sets (see docs/DICTIONARY.md and BENCH_dictionary.json).
-  /// Patterns of different lengths (or different k) simply land in
-  /// different groups.
-  kDictionary,
   /// BidirectionalSearch (Hamming distance, bidir/bidir_search.h): walks an
   /// optimal search scheme over a BiFmIndex, extending in both directions
   /// so most branches die in a mismatch-poor piece. Requires
@@ -107,7 +95,7 @@ enum class BatchEngine {
 };
 
 /// Stable engine label used for traces and bench reports ("algorithm_a",
-/// "stree", "kerror", "wildcard", "dictionary", "bidirectional", "auto").
+/// "stree", "kerror", "wildcard", "bidirectional", "auto").
 std::string_view BatchEngineName(BatchEngine engine);
 
 /// The (pattern length, k) → engine table behind BatchEngine::kAuto,
@@ -308,15 +296,7 @@ class EngineBank {
   std::vector<Occurrence> RunWith(BatchEngine engine, const BatchQuery& query,
                                   size_t index_slot, SearchStats* stats);
 
-  /// BatchEngine::kDictionary only: answers every pattern of `trie` against
-  /// index `index_slot` in one joint descent. result[id] answers
-  /// trie.pattern(id), byte-identical to RunWith on that pattern alone.
-  std::vector<std::vector<Occurrence>> RunDictionary(const PatternSetTrie& trie,
-                                                     int32_t k,
-                                                     size_t index_slot,
-                                                     SearchStats* stats);
-
-  /// True when this bank can execute `engine`: always for the five
+  /// True when this bank can execute `engine`: always for the four
   /// FmIndex-only engines and kAuto (which degrades to kAlgorithmA),
   /// only with BatchOptions::bidir_indexes for kBidirectional.
   bool Supports(BatchEngine engine) const;
@@ -324,9 +304,6 @@ class EngineBank {
   /// The engine a query actually runs under: `engine` itself, except kAuto
   /// which maps through AutoPickEngine(pattern length, k, bidir present).
   BatchEngine Resolve(BatchEngine engine, const BatchQuery& query) const;
-
-  /// BatchEngineName(options.engine) — the stable trace/report label.
-  std::string_view engine_name() const;
 
   /// 1 for a single index, the shard count for a sharded group.
   size_t num_indexes() const;

@@ -137,8 +137,14 @@ struct Server::Impl {
     const Result<QueryRequest> parsed = ParseQueryPayload(payload);
     if (!parsed.ok()) {
       // Framing is intact but the payload is garbage: answer and carry on
-      // (the stream is still synchronized).
+      // (the stream is still synchronized). The RESULT echoes the request
+      // id whenever the payload holds it (its first 8 bytes), so a client
+      // waiting on that id gets its answer (docs/SERVING.md §4.3).
       QueryResponse response;
+      if (payload.size() >= sizeof(response.request_id)) {
+        std::memcpy(&response.request_id, payload.data(),
+                    sizeof(response.request_id));
+      }
       response.status = WireStatus::kInvalidArgument;
       response.message = parsed.status().message();
       conn->SendResponse(response);

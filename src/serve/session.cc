@@ -33,7 +33,6 @@ obs::CounterId ServedCounter(BatchEngine engine) {
     case BatchEngine::kSTree: return obs::kCounterServeServedStree;
     case BatchEngine::kKError: return obs::kCounterServeServedKError;
     case BatchEngine::kWildcard: return obs::kCounterServeServedWildcard;
-    case BatchEngine::kDictionary: return obs::kCounterServeServedDictionary;
     case BatchEngine::kBidirectional:
       return obs::kCounterServeServedBidirectional;
     case BatchEngine::kAuto: break;  // resolved before counting

@@ -79,8 +79,6 @@ WireEngine ToWireEngine(BatchEngine engine) {
       return WireEngine::kKError;
     case BatchEngine::kWildcard:
       return WireEngine::kWildcard;
-    case BatchEngine::kDictionary:
-      return WireEngine::kDictionary;
     case BatchEngine::kBidirectional:
       return WireEngine::kBidirectional;
     case BatchEngine::kAuto:
@@ -100,7 +98,9 @@ Result<BatchEngine> FromWireEngine(uint8_t engine) {
     case WireEngine::kWildcard:
       return BatchEngine::kWildcard;
     case WireEngine::kDictionary:
-      return BatchEngine::kDictionary;
+      return Status::InvalidArgument(
+          "wire engine id 4 (dictionary) is retired; send pattern sets as "
+          "auto or bidirectional queries");
     case WireEngine::kBidirectional:
       return BatchEngine::kBidirectional;
     case WireEngine::kAuto:

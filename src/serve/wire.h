@@ -90,6 +90,8 @@ enum class WireEngine : uint8_t {
   kSTree = 1,
   kKError = 2,
   kWildcard = 3,
+  /// Reserved: the retired dictionary engine's id. No BatchEngine maps to
+  /// it, and FromWireEngine answers it with kInvalidArgument.
   kDictionary = 4,
   kBidirectional = 5,
   kAuto = 6,
@@ -98,9 +100,9 @@ enum class WireEngine : uint8_t {
 /// The frozen wire byte for `engine` (total: every BatchEngine maps).
 WireEngine ToWireEngine(BatchEngine engine);
 
-/// Decodes an engine byte; kInvalidArgument for an id this build does not
-/// know (a newer client), which the server surfaces as a typed RESULT
-/// error rather than dropping the connection.
+/// Decodes an engine byte; kInvalidArgument for the reserved id 4 and for
+/// an id this build does not know (a newer client), which the server
+/// surfaces as a typed RESULT error rather than dropping the connection.
 Result<BatchEngine> FromWireEngine(uint8_t engine);
 
 /// QUERY payload:

@@ -13,7 +13,7 @@
 // occurrences.
 //
 // The required window length per query is the pattern length for the
-// Hamming engines (kAlgorithmA, kSTree, kWildcard, kDictionary) and
+// Hamming engines (kAlgorithmA, kSTree, kWildcard, kBidirectional) and
 // pattern length + k for kerror,
 // whose alignments may consume up to k extra text characters. Using the
 // worst-case kerror window for ownership also preserves that engine's
@@ -43,7 +43,7 @@ namespace bwtk {
 
 /// Text window a query's occurrences can span — the seam-ownership unit:
 /// the pattern itself for the Hamming engines (kAlgorithmA, kSTree,
-/// kWildcard, kDictionary, kBidirectional, and kAuto, which only resolves
+/// kWildcard, kBidirectional, and kAuto, which only resolves
 /// to Hamming engines), up to k extra characters for kerror alignments. A
 /// sharded query is servable iff this window fits the index's overlap.
 size_t ShardedQueryWindow(const BatchQuery& query, BatchEngine engine);
@@ -55,8 +55,8 @@ size_t ShardedQueryWindow(const BatchQuery& query, BatchEngine engine);
 /// normalizes the result to canonical position order. Consumes `parts`
 /// (each list is cleared). Returns the number of seam duplicates
 /// discarded, and counts them in `seam_hits_deduped`. This is THE seam
-/// rule — EngineBank::Answer and the sharded dictionary batch both route
-/// through it, so batch and streamed sharded results cannot disagree.
+/// rule — EngineBank routes every sharded answer, batch or served, through
+/// it, so batch and streamed sharded results cannot disagree.
 uint64_t ResolveShardedHits(const ShardPlan& plan, size_t window,
                             std::vector<Occurrence>* parts,
                             std::vector<Occurrence>* merged);

@@ -431,5 +431,52 @@ TEST(PrefixTableTest, LargeBudgetFallsBackToRootEnumeration) {
   }
 }
 
+// The index_tool upgrade path: a table added to a table-less index (as a
+// version-1 load is) answers exactly as before, persists through Save/Load,
+// and can be stripped again.
+TEST(RebuildPrefixTableTest, UpgradeIsResultIdenticalAndPersists) {
+  Rng rng(107);
+  const auto text = PeriodicDna(2500, 37, 0.3, &rng);
+  auto index = BuildIndex(text, 0);  // no table, like a v1 load
+  ASSERT_EQ(index.prefix_table_q(), 0u);
+  // Half planted with up to two flips, so hits exist; half random.
+  std::vector<std::vector<DnaCode>> patterns;
+  for (int i = 0; i < 32; ++i) {
+    patterns.push_back(
+        i % 2 == 0
+            ? SampleWithFlips(text, rng.NextBounded(text.size() - 12), 12, 2,
+                              &rng)
+            : RandomDna(12, &rng));
+  }
+  const auto search_all = [&patterns](const FmIndex& searched) {
+    const STreeSearch search(&searched);
+    std::vector<std::vector<Occurrence>> hits;
+    for (const auto& pattern : patterns) {
+      hits.push_back(search.Search(pattern, 2));
+    }
+    return hits;
+  };
+  const auto before = search_all(index);
+
+  ASSERT_TRUE(index.RebuildPrefixTable(5).ok());
+  EXPECT_EQ(index.prefix_table_q(), 5u);
+  EXPECT_EQ(index.options().prefix_table_q, 5u);
+  EXPECT_EQ(search_all(index), before);
+
+  // The rebuilt table round-trips through serialization (format v2).
+  std::stringstream buffer;
+  ASSERT_TRUE(index.Save(buffer).ok());
+  const auto loaded = FmIndex::Load(buffer).value();
+  EXPECT_EQ(loaded.prefix_table_q(), 5u);
+  EXPECT_EQ(search_all(loaded), before);
+
+  // q = 0 strips the table; out-of-range q is rejected.
+  ASSERT_TRUE(index.RebuildPrefixTable(0).ok());
+  EXPECT_EQ(index.prefix_table_q(), 0u);
+  EXPECT_EQ(search_all(index), before);
+  EXPECT_EQ(index.RebuildPrefixTable(PrefixIntervalTable::kMaxQ + 1).code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace bwtk

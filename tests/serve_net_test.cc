@@ -446,6 +446,38 @@ TEST(ServeNetTest, PerQueryEngineOverrideOverTcp) {
   }
 }
 
+// Reads the next whole frame from `fd` into `*frame`, waiting up to
+// `timeout`. False on a timeout, a closed or failed connection, or a framing
+// error.
+bool NextFrameWithin(int fd, serve::FrameReader* reader,
+                     std::chrono::milliseconds timeout, serve::Frame* frame) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  char buffer[256];
+  for (;;) {
+    auto next = reader->Next();
+    if (!next.ok()) return false;
+    if (next->has_value()) {
+      *frame = std::move(**next);
+      return true;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd readable{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&readable, 1, static_cast<int>(left.count())) <= 0) {
+      return false;
+    }
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) return false;
+    reader->Feed(buffer, static_cast<size_t>(n));
+  }
+}
+
+bool SendAll(int fd, const std::string& bytes) {
+  return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(bytes.size());
+}
+
 // Sends HELLO on a fresh raw connection and waits up to `timeout` for the
 // HELLO_ACK frame (a Client would block forever on a server that never
 // accepts). False when the connection fails or no ACK arrives in time.
@@ -454,29 +486,11 @@ bool HandshakeWithin(uint16_t port, std::chrono::milliseconds timeout) {
   if (fd < 0) return false;
   std::string hello;
   serve::AppendHelloFrame(&hello);
-  bool acked = false;
-  if (::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL) ==
-      static_cast<ssize_t>(hello.size())) {
-    serve::FrameReader reader;
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    char buffer[256];
-    while (!acked) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      pollfd readable{fd, POLLIN, 0};
-      if (left.count() <= 0 ||
-          ::poll(&readable, 1, static_cast<int>(left.count())) <= 0) {
-        break;
-      }
-      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-      if (n <= 0) break;
-      reader.Feed(buffer, static_cast<size_t>(n));
-      const auto frame = reader.Next();
-      if (!frame.ok()) break;
-      acked = frame->has_value() &&
-              (*frame)->type == serve::FrameType::kHelloAck;
-    }
-  }
+  serve::FrameReader reader;
+  serve::Frame frame;
+  const bool acked = SendAll(fd, hello) &&
+                     NextFrameWithin(fd, &reader, timeout, &frame) &&
+                     frame.type == serve::FrameType::kHelloAck;
   ::close(fd);
   return acked;
 }
@@ -544,6 +558,63 @@ TEST(ServeNetTest, UnavailableEngineOverrideAnswersInvalidArgument) {
                               BatchEngine::kAuto);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, WireStatus::kOk);
+}
+
+TEST(ServeNetTest, UnparseableQueryAnswersUnderItsRequestId) {
+  // A QUERY whose payload fails to parse still gets exactly one RESULT,
+  // carrying the request's own id (docs/SERVING.md §4.3, §5), so a client
+  // waiting on that id does not hang. Engine byte 4 is the retired
+  // dictionary engine; 7 is an id this build does not know.
+  NetFixture fixture = MakeNetFixture(8000, 1, 241);
+  Session session(&fixture.index, {.num_threads = 1});
+  Server server(&session);
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  constexpr std::chrono::seconds kWait(5);
+  serve::FrameReader reader;
+  serve::Frame frame;
+  std::string hello;
+  serve::AppendHelloFrame(&hello);
+  ASSERT_TRUE(SendAll(fd, hello));
+  ASSERT_TRUE(NextFrameWithin(fd, &reader, kWait, &frame));
+  ASSERT_EQ(frame.type, serve::FrameType::kHelloAck);
+
+  for (const uint8_t engine : {uint8_t{4}, uint8_t{7}}) {
+    // The override trailer is spliced on by hand: no BatchEngine maps to
+    // either byte, so a QueryRequest cannot carry them.
+    const uint64_t id = 40 + engine;
+    std::string query;
+    serve::AppendQueryFrame(
+        {.request_id = id, .k = 1, .pattern = fixture.patterns[0]}, &query);
+    query.push_back(static_cast<char>(serve::kQueryFlagEngineOverride));
+    query.push_back(static_cast<char>(engine));
+    const uint32_t payload_length = static_cast<uint32_t>(query.size() - 5);
+    std::memcpy(query.data(), &payload_length, sizeof(payload_length));
+    ASSERT_TRUE(SendAll(fd, query));
+    ASSERT_TRUE(NextFrameWithin(fd, &reader, kWait, &frame))
+        << "engine " << int{engine};
+    ASSERT_EQ(frame.type, serve::FrameType::kResult);
+    const auto response = serve::ParseResultPayload(frame.payload).value();
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.status, WireStatus::kInvalidArgument);
+    EXPECT_NE(response.message.find(engine == 4 ? "dictionary" : "id 7"),
+              std::string::npos)
+        << response.message;
+  }
+
+  // The connection survives: the next query is answered.
+  std::string query;
+  serve::AppendQueryFrame(
+      {.request_id = 50, .k = 0, .pattern = fixture.patterns[0]}, &query);
+  ASSERT_TRUE(SendAll(fd, query));
+  ASSERT_TRUE(NextFrameWithin(fd, &reader, kWait, &frame));
+  ASSERT_EQ(frame.type, serve::FrameType::kResult);
+  const auto response = serve::ParseResultPayload(frame.payload).value();
+  EXPECT_EQ(response.request_id, 50u);
+  EXPECT_EQ(response.status, WireStatus::kOk) << response.message;
+  EXPECT_FALSE(response.hits.empty());
+  ::close(fd);
 }
 
 }  // namespace

@@ -920,21 +920,26 @@ TEST(ServeWireTest, WireEngineIdsAreFrozenAndTotal) {
   EXPECT_EQ(static_cast<uint8_t>(serve::ToWireEngine(BatchEngine::kKError)), 2);
   EXPECT_EQ(static_cast<uint8_t>(serve::ToWireEngine(BatchEngine::kWildcard)),
             3);
-  EXPECT_EQ(static_cast<uint8_t>(serve::ToWireEngine(BatchEngine::kDictionary)),
-            4);
   EXPECT_EQ(
       static_cast<uint8_t>(serve::ToWireEngine(BatchEngine::kBidirectional)),
       5);
   EXPECT_EQ(static_cast<uint8_t>(serve::ToWireEngine(BatchEngine::kAuto)), 6);
   for (const BatchEngine engine :
        {BatchEngine::kAlgorithmA, BatchEngine::kSTree, BatchEngine::kKError,
-        BatchEngine::kWildcard, BatchEngine::kDictionary,
-        BatchEngine::kBidirectional, BatchEngine::kAuto}) {
+        BatchEngine::kWildcard, BatchEngine::kBidirectional,
+        BatchEngine::kAuto}) {
     const auto back = serve::FromWireEngine(
         static_cast<uint8_t>(serve::ToWireEngine(engine)));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), engine);
   }
+  // Id 4 stays reserved for the retired dictionary engine: never reused,
+  // answered with a typed error that names it.
+  EXPECT_EQ(static_cast<uint8_t>(serve::WireEngine::kDictionary), 4);
+  const auto retired = serve::FromWireEngine(4);
+  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retired.status().message().find("dictionary"), std::string::npos)
+      << retired.status().message();
   EXPECT_EQ(serve::FromWireEngine(7).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(serve::FromWireEngine(255).status().code(),

@@ -31,14 +31,6 @@ array of {checkpoint_rate, kernel, rank_ns, rankall_ns, iters} covering
 at least 3 distinct checkpoint rates and at least the two always-available
 kernels (scalar, word64). The grid floor does not apply.
 
-bench_dictionary: checks the dictionary-engine schema (docs/DICTIONARY.md)
-— a 'workload' object plus 'runs' whose engine is dictionary or
-algorithm_a, paired per cell: total_hits for one (genome, k) cell (the
-genome name carries the set size, e.g. "synth-1M/n4096") must agree
-across both engines — the amortized descent is only reportable when it
-returns the independent searches' answer. Both engines carry aggregated
-SearchStats; the grid must cover at least 2 distinct pattern counts.
-
 bench_bidir: checks the head-to-head engine-grid schema
 (docs/BIDIRECTIONAL.md) — a 'workload' object plus 'runs' whose engine is
 bidirectional, algorithm_a, or stree, all single-threaded by design:
@@ -162,27 +154,6 @@ BIDIR_RUN_FIELDS = {
     "threads": UINT,
     "wall_seconds": NUM,
     "reads_per_second": NUM,
-    "total_hits": UINT,
-    "stats": dict,
-}
-
-DICTIONARY_ENGINES = ("dictionary", "algorithm_a")
-
-# A bench_dictionary run: one cell of the amortized-vs-independent grid.
-# 'threads' is 1 for both engines (the comparison is single-threaded by
-# design); the genome name encodes the pattern count so the bench_diff
-# match key (genome, k, engine, threads) stays unique per cell.
-DICTIONARY_RUN_FIELDS = {
-    "genome": str,
-    "genome_length": UINT,
-    "pattern_length": UINT,
-    "pattern_count": UINT,
-    "trie_nodes": UINT,
-    "k": UINT,
-    "engine": str,
-    "threads": UINT,
-    "wall_seconds": NUM,
-    "patterns_per_second": NUM,
     "total_hits": UINT,
     "stats": dict,
 }
@@ -342,9 +313,6 @@ class Validator:
         if doc.get("created_by") == "bench_rank_kernel":
             self.validate_rank_kernel(doc)
             return
-        if doc.get("created_by") == "bench_dictionary":
-            self.validate_dictionary(doc)
-            return
         if doc.get("created_by") == "bench_bidir":
             self.validate_bidir(doc)
             return
@@ -477,112 +445,6 @@ class Validator:
                     "unique_ratio_full": NUM,
                     "zipf_speedup_sharded": NUM,
                 },
-            )
-
-    def validate_dictionary(self, doc):
-        self.require(
-            doc,
-            "$",
-            {
-                "schema_version": UINT,
-                "name": str,
-                "created_by": str,
-                "smoke": bool,
-                "scale": NUM,
-                "hardware": dict,
-                "workload": dict,
-                "runs": list,
-            },
-        )
-        if doc.get("schema_version") != 1:
-            self.error("$", f"unsupported schema_version {doc.get('schema_version')}")
-
-        hardware = doc.get("hardware", {})
-        if isinstance(hardware, dict):
-            self.require(
-                hardware,
-                "$.hardware",
-                {"hardware_concurrency": UINT, "metrics_compiled_in": bool},
-            )
-
-        workload = doc.get("workload", {})
-        if isinstance(workload, dict):
-            self.require(
-                workload,
-                "$.workload",
-                {
-                    "genome": str,
-                    "genome_length": UINT,
-                    "pattern_length": UINT,
-                    "max_pattern_count": UINT,
-                },
-            )
-
-        # total_hits for a given (genome, k) cell — the genome name carries
-        # the set size — must agree between the amortized descent and the
-        # independent searches: a divergence means the dictionary engine
-        # changed the answer, which the bench itself is supposed to refuse.
-        hits_by_cell = {}
-        engines_by_cell = {}
-        pattern_counts = set()
-        engines = set()
-        for i, run in enumerate(doc.get("runs", [])):
-            where = f"$.runs[{i}]"
-            if not isinstance(run, dict):
-                self.error(where, "must be an object")
-                continue
-            if not self.require(run, where, DICTIONARY_RUN_FIELDS):
-                continue
-            if run["engine"] not in DICTIONARY_ENGINES:
-                self.error(
-                    where,
-                    f"engine '{run['engine']}' not one of "
-                    f"{list(DICTIONARY_ENGINES)}",
-                )
-                continue
-            if run["threads"] != 1:
-                self.error(
-                    where,
-                    "'threads' must be 1 (the comparison is single-threaded)",
-                )
-            if run["wall_seconds"] < 0:
-                self.error(where, "'wall_seconds' must be non-negative")
-            if run["pattern_count"] < 1:
-                self.error(where, "'pattern_count' must be >= 1")
-            for field in STATS_FIELDS:
-                value = run["stats"].get(field)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    self.error(
-                        f"{where}.stats",
-                        f"'{field}' must be a non-negative integer",
-                    )
-            engines.add(run["engine"])
-            pattern_counts.add(run["pattern_count"])
-            cell = (run["genome"], run["k"])
-            if cell in hits_by_cell and hits_by_cell[cell] != run["total_hits"]:
-                self.error(
-                    where,
-                    f"total_hits {run['total_hits']} disagrees with another "
-                    f"run of genome '{cell[0]}' k={cell[1]} "
-                    f"({hits_by_cell[cell]}) — the amortized descent must "
-                    "return the independent searches' answer",
-                )
-            hits_by_cell.setdefault(cell, run["total_hits"])
-            engines_by_cell.setdefault(cell, set()).add(run["engine"])
-        for engine in DICTIONARY_ENGINES:
-            if engine not in engines:
-                self.error("$.runs", f"engine '{engine}' missing (always runs)")
-        for cell, cell_engines in sorted(engines_by_cell.items()):
-            if len(cell_engines) != len(DICTIONARY_ENGINES):
-                self.error(
-                    "$.runs",
-                    f"cell genome '{cell[0]}' k={cell[1]} lacks one of "
-                    f"{list(DICTIONARY_ENGINES)} — every cell is a pair",
-                )
-        if len(pattern_counts) < 2:
-            self.error(
-                "$.runs",
-                f"need >= 2 distinct pattern counts, got {sorted(pattern_counts)}",
             )
 
     def validate_bidir(self, doc):
