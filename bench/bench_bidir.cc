@@ -1,11 +1,10 @@
 // Bidirectional search-scheme benchmark: the head-to-head grid behind the
 // AutoPickEngine table. One BidirectionalSearch (search schemes over a
 // BiFmIndex) versus Algorithm A and the baseline S-tree enumeration over
-// the identical reads, across k in {0..5} x read length in {24, 36, 50,
-// 100}. Emits BENCH_<name>.json (created_by "bench_bidir", validated by
-// tools/validate_bench_json.py, gated by tools/bench_diff.py on the
-// (genome, k, engine, threads) key — the per-run genome name carries the
-// read length, e.g. "synth-1M/m100", so cells stay distinct).
+// the identical reads, across k in {0..5} x read length in {6, 8, 10, 12,
+// 16, 20, 24, 36, 50, 100}. Emits BENCH_<name>.json (created_by
+// "bench_bidir", validated by tools/validate_bench_json.py, gated by
+// tools/bench_diff.py per (workload, read_length, k, engine, threads)).
 //
 // All three engines run single-threaded on indexes built from the same
 // text with the same rank configuration (shared forward half), so the
@@ -17,18 +16,12 @@
 // engines — the bench refuses to report wrong answers.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "bidir/bi_fm_index.h"
 #include "bidir/bidir_search.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
-#include "obs/report.h"
 #include "search/algorithm_a.h"
 #include "search/match.h"
 #include "search/stree_search.h"
@@ -67,28 +60,16 @@ double SecondsPerPass(double min_seconds, const Pass& pass) {
 }
 
 int Run(int argc, char** argv) {
-  bool smoke = false;
-  std::string name = "bidir";
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) {
-      name = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_bidir [--name NAME] [--out DIR] [--smoke]\n");
-      return 2;
-    }
-  }
+  ReportFlags flags;
+  flags.name = "bidir";
+  if (!ParseReportFlags(argc, argv, &flags)) return 2;
 
+  const bool smoke = flags.smoke;
   const std::string genome_name = smoke ? "smoke-32K" : "synth-1M";
   const size_t genome_length = smoke ? (1u << 15) : Scaled(1u << 20);
   const std::vector<size_t> read_lengths =
       smoke ? std::vector<size_t>{24, 100}
-            : std::vector<size_t>{24, 36, 50, 100};
+            : std::vector<size_t>{6, 8, 10, 12, 16, 20, 24, 36, 50, 100};
   const std::vector<int32_t> k_values =
       smoke ? std::vector<int32_t>{0, 1, 3}
             : std::vector<int32_t>{0, 1, 2, 3, 4, 5};
@@ -97,8 +78,11 @@ int Run(int argc, char** argv) {
 
   PrintBanner(
       "bench_bidir: search schemes vs enumeration head-to-head -> BENCH_" +
-          name + ".json",
-      genome_name + ", m in {24..100}, k in {0..5}, " +
+          flags.name + ".json",
+      genome_name + ", m in {" + std::to_string(read_lengths.front()) +
+          ".." + std::to_string(read_lengths.back()) + "}, k in {" +
+          std::to_string(k_values.front()) + ".." +
+          std::to_string(k_values.back()) + "}, " +
           std::to_string(read_count) + " reads per cell");
 
   const auto genome = MakeGenome(genome_length);
@@ -111,37 +95,14 @@ int Run(int argc, char** argv) {
   const STreeSearch stree(&bi.forward());
   AlgorithmAScratch scratch;
 
-  obs::JsonWriter json;
-  json.BeginObject()
-      .Key("schema_version")
-      .Value(1)
-      .Key("name")
-      .Value(name)
-      .Key("created_by")
-      .Value("bench_bidir")
-      .Key("smoke")
-      .Value(smoke)
-      .Key("scale")
-      .Value(BenchScale())
-      .Key("hardware")
-      .BeginObject()
-      .Key("hardware_concurrency")
-      .Value(static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Key("metrics_compiled_in")
-      .Value(BWTK_METRICS_ENABLED != 0)
-      .EndObject()
-      .Key("workload")
-      .BeginObject()
-      .Key("genome")
-      .Value(genome_name)
-      .Key("genome_length")
-      .Value(static_cast<uint64_t>(genome.size()))
+  BenchReport report("bench_bidir", flags);
+  report.AddWorkload(genome_name, genome.size())
+      .Key("seed")
+      .Value(42)
       .Key("read_count")
       .Value(static_cast<uint64_t>(read_count))
       .Key("prefix_table_q")
-      .Value(static_cast<uint64_t>(bi.forward().prefix_table_q()))
-      .EndObject();
-  json.Key("runs").BeginArray();
+      .Value(static_cast<uint64_t>(bi.forward().prefix_table_q()));
 
   TablePrinter table(
       {"m", "k", "engine", "wall", "reads/s", "hits", "vs A"});
@@ -153,45 +114,38 @@ int Run(int argc, char** argv) {
 
     for (const int32_t k : k_values) {
       // One measured evaluation per engine for hits + stats, then the
-      // timing loop; the three answers are checked read-for-read against
-      // each other before anything is written.
+      // timing loop. Each read's three answers are checked against each
+      // other before the next read runs, so a cell holds one read's hits
+      // at a time, and nothing is written unless every read agrees.
       CellResult b;
       CellResult a;
       CellResult s;
-      std::vector<std::vector<Occurrence>> bidir_hits(reads.size());
       for (size_t i = 0; i < reads.size(); ++i) {
-        SearchStats one;  // Search resets the out-param; accumulate by hand
-        bidir_hits[i] = bidir.Search(reads[i], k, &one);
-        b.stats += one;
-        b.total_hits += bidir_hits[i].size();
-      }
-      for (size_t i = 0; i < reads.size(); ++i) {
-        SearchStats one;
-        auto serial_hits = serial.Search(reads[i], k, &one, &scratch);
+        // Search resets its stats out-param; accumulate by hand.
+        SearchStats bidir_stats;
+        SearchStats serial_stats;
+        SearchStats stree_stats;
+        const auto bidir_hits = bidir.Search(reads[i], k, &bidir_stats);
+        auto serial_hits = serial.Search(reads[i], k, &serial_stats, &scratch);
+        auto stree_hits = stree.Search(reads[i], k, &stree_stats);
         NormalizeOccurrences(&serial_hits);
-        a.stats += one;
-        a.total_hits += serial_hits.size();
-        if (serial_hits != bidir_hits[i]) {
-          std::fprintf(stderr,
-                       "m=%zu k=%d: bidirectional and algorithm_a disagree "
-                       "on read %zu — refusing to report wrong answers\n",
-                       m, k, i);
-          return 1;
-        }
-      }
-      for (size_t i = 0; i < reads.size(); ++i) {
-        SearchStats one;
-        auto stree_hits = stree.Search(reads[i], k, &one);
         NormalizeOccurrences(&stree_hits);
-        s.stats += one;
-        s.total_hits += stree_hits.size();
-        if (stree_hits != bidir_hits[i]) {
+        const char* other = serial_hits != bidir_hits  ? "algorithm_a"
+                            : stree_hits != bidir_hits ? "stree"
+                                                       : nullptr;
+        if (other != nullptr) {
           std::fprintf(stderr,
-                       "m=%zu k=%d: bidirectional and stree disagree on "
-                       "read %zu — refusing to report wrong answers\n",
-                       m, k, i);
+                       "m=%zu k=%d: bidirectional and %s disagree on read "
+                       "%zu — refusing to report wrong answers\n",
+                       m, k, other, i);
           return 1;
         }
+        b.stats += bidir_stats;
+        a.stats += serial_stats;
+        s.stats += stree_stats;
+        b.total_hits += bidir_hits.size();
+        a.total_hits += serial_hits.size();
+        s.total_hits += stree_hits.size();
       }
 
       b.wall_seconds = SecondsPerPass(min_timed_seconds, [&] {
@@ -206,39 +160,16 @@ int Run(int argc, char** argv) {
         for (const auto& read : reads) stree.Search(read, k, nullptr);
       });
 
-      const std::string run_genome = genome_name + "/m" + std::to_string(m);
       const double speedup =
           b.wall_seconds > 0 ? a.wall_seconds / b.wall_seconds : 0;
       const CellResult* cells[3] = {&b, &a, &s};
       const char* engines[3] = {"bidirectional", "algorithm_a", "stree"};
       for (int e = 0; e < 3; ++e) {
         const CellResult& r = *cells[e];
+        report.AddRun({genome_name, m, k, engines[e], 1}, r.wall_seconds,
+                      read_count, r.total_hits, r.stats);
         const double rps =
             r.wall_seconds > 0 ? read_count / r.wall_seconds : 0;
-        json.BeginObject()
-            .Key("genome")
-            .Value(run_genome)
-            .Key("genome_length")
-            .Value(static_cast<uint64_t>(genome.size()))
-            .Key("read_length")
-            .Value(static_cast<uint64_t>(m))
-            .Key("read_count")
-            .Value(static_cast<uint64_t>(read_count))
-            .Key("k")
-            .Value(k)
-            .Key("engine")
-            .Value(engines[e])
-            .Key("threads")
-            .Value(1)
-            .Key("wall_seconds")
-            .Value(r.wall_seconds)
-            .Key("reads_per_second")
-            .Value(rps)
-            .Key("total_hits")
-            .Value(r.total_hits);
-        json.Key("stats");
-        obs::AppendSearchStats(r.stats, &json);
-        json.EndObject();
         table.AddRow({std::to_string(m), std::to_string(k), engines[e],
                       FormatSeconds(r.wall_seconds),
                       std::to_string(static_cast<uint64_t>(rps)),
@@ -248,22 +179,8 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  json.EndArray().EndObject();
   table.Print();
-
-  const std::string path = out_dir + "/BENCH_" + name + ".json";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  out << std::move(json).TakeString() << "\n";
-  if (!out.flush()) {
-    std::fprintf(stderr, "write to %s failed\n", path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", path.c_str());
-  return 0;
+  return std::move(report).Write() ? 0 : 1;
 }
 
 }  // namespace

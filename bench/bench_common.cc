@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
 
+#include "obs/metrics.h"
+#include "obs/report.h"
 #include "simulate/genome_generator.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 
 namespace bwtk::bench {
 
@@ -128,6 +133,163 @@ void PrintBanner(const std::string& title, const std::string& setup) {
 std::string DescribeIndexConfig(const FmIndex& index) {
   return "kernel=" + std::string(index.rank_kernel_name()) +
          " prefix_q=" + std::to_string(index.prefix_table_q());
+}
+
+RankCost MeasureRank(const OccTable& occ, size_t iters) {
+  const size_t rows = occ.size();
+  RankCost cost;
+  uint64_t sink = 0;
+
+  Stopwatch watch;
+  size_t pos = 1;
+  for (size_t i = 0; i < iters; ++i) {
+    sink += occ.Rank(static_cast<DnaCode>(i & 3), pos);
+    pos = (pos * 2862933555777941757ULL + 3037000493ULL) % rows;
+  }
+  cost.rank_ns = watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
+
+  uint32_t ranks[kDnaAlphabetSize];
+  watch.Restart();
+  pos = 1;
+  for (size_t i = 0; i < iters; ++i) {
+    occ.RankAll(pos, ranks);
+    sink += ranks[i & 3];
+    pos = (pos * 2862933555777941757ULL + 3037000493ULL) % rows;
+  }
+  cost.rankall_ns = watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
+
+  if (sink == 0x5eed) std::printf(" ");  // defeat dead-code elimination
+  return cost;
+}
+
+bool ParseReportFlags(
+    int argc, char** argv, ReportFlags* flags,
+    std::initializer_list<std::pair<const char*, int*>> int_flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (arg == "--smoke") {
+      flags->smoke = true;
+      continue;
+    }
+    if (arg == "--name" && has_value) {
+      flags->name = argv[++i];
+      continue;
+    }
+    if (arg == "--out" && has_value) {
+      flags->out_dir = argv[++i];
+      continue;
+    }
+    const auto own = std::find_if(
+        int_flags.begin(), int_flags.end(),
+        [&](const auto& flag) { return arg == flag.first; });
+    if (own != int_flags.end() && has_value) {
+      *own->second = std::atoi(argv[++i]);
+      continue;
+    }
+    std::string usage = std::string("usage: ") + argv[0] +
+                        " [--name NAME] [--out DIR] [--smoke]";
+    for (const auto& flag : int_flags) {
+      usage += std::string(" [") + flag.first + " N]";
+    }
+    std::fprintf(stderr, "%s\n", usage.c_str());
+    return false;
+  }
+  return true;
+}
+
+BenchReport::BenchReport(std::string_view created_by, ReportFlags flags)
+    : flags_(std::move(flags)) {
+  json_.BeginObject()
+      .Key("schema_version")
+      .Value(2)
+      .Key("name")
+      .Value(flags_.name)
+      .Key("created_by")
+      .Value(created_by)
+      .Key("smoke")
+      .Value(flags_.smoke)
+      .Key("scale")
+      .Value(BenchScale())
+      .Key("hardware")
+      .BeginObject()
+      .Key("hardware_concurrency")
+      .Value(static_cast<uint64_t>(std::thread::hardware_concurrency()))
+      .Key("metrics_compiled_in")
+      .Value(BWTK_METRICS_ENABLED != 0)
+      .Key("avx2_available")
+      .Value(OccTable::Avx2Available())
+      .EndObject()
+      .Key("workloads")
+      .BeginArray();
+}
+
+void BenchReport::CloseOpenObject() {
+  if (object_open_) json_.EndObject();
+  object_open_ = false;
+}
+
+obs::JsonWriter& BenchReport::AddWorkload(std::string_view name,
+                                          uint64_t genome_length) {
+  BWTK_CHECK(!in_runs_) << "workload " << name << " added after a run";
+  CloseOpenObject();
+  object_open_ = true;
+  return json_.BeginObject()
+      .Key("name")
+      .Value(name)
+      .Key("genome_length")
+      .Value(genome_length);
+}
+
+obs::JsonWriter& BenchReport::AddRun(const RunKey& key, double wall_seconds,
+                                     std::string_view rate_field,
+                                     double operations) {
+  CloseOpenObject();
+  if (!in_runs_) json_.EndArray().Key("runs").BeginArray();
+  in_runs_ = true;
+  object_open_ = true;
+  return json_.BeginObject()
+      .Key("workload")
+      .Value(key.workload)
+      .Key("read_length")
+      .Value(static_cast<uint64_t>(key.read_length))
+      .Key("k")
+      .Value(key.k)
+      .Key("engine")
+      .Value(key.engine)
+      .Key("threads")
+      .Value(key.threads)
+      .Key("wall_seconds")
+      .Value(wall_seconds)
+      .Key(rate_field)
+      .Value(wall_seconds > 0 ? operations / wall_seconds : 0.0);
+}
+
+obs::JsonWriter& BenchReport::AddRun(const RunKey& key, double wall_seconds,
+                                     size_t reads, uint64_t total_hits,
+                                     const SearchStats& stats) {
+  obs::JsonWriter& json = AddRun(key, wall_seconds, "reads_per_second",
+                                 static_cast<double>(reads));
+  json.Key("total_hits").Value(total_hits).Key("stats");
+  obs::AppendSearchStats(stats, &json);
+  return json;
+}
+
+bool BenchReport::Write() && {
+  CloseOpenObject();
+  if (!in_runs_) json_.EndArray().Key("runs").BeginArray();
+  json_.EndArray().EndObject();
+  const std::string path =
+      flags_.out_dir + "/BENCH_" + flags_.name + ".json";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << std::move(json_).TakeString() << "\n";
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace bwtk::bench

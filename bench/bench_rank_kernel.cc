@@ -2,10 +2,9 @@
 //
 // Builds one OccTable per {checkpoint rate} x {kernel} combination over the
 // same BWT and measures the average per-call cost of the two rank
-// primitives with the same LCG-driven measurement loop bench_report uses
-// for calibration (random positions so the checkpoint gap scan is
-// represented, serial dependency through the position so the loop cannot
-// be vectorized away).
+// primitives with MeasureRank, the loop bench_report calibrates with
+// (random positions so the checkpoint gap scan is represented, serial
+// dependency through the position so the loop cannot be vectorized away).
 //
 // Rank is expected to be kernel-invariant (single-symbol rank is one
 // popcount per word under every kernel); RankAll is where the word64 and
@@ -14,90 +13,36 @@
 //
 //   bench_rank_kernel [--name NAME] [--out DIR] [--smoke]
 //
-// Emits BENCH_<name>.json with created_by "bench_rank_kernel"; the schema
-// is documented in docs/OBSERVABILITY.md and validated by
-// tools/validate_bench_json.py.
+// Emits BENCH_<name>.json with created_by "bench_rank_kernel": one
+// workload per checkpoint rate and one run per kernel on it (read_length
+// and k are 0). The schema is documented in docs/OBSERVABILITY.md and
+// validated by tools/validate_bench_json.py.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "bwt/bwt.h"
 #include "bwt/occ_table.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
-#include "util/stopwatch.h"
 
 namespace bwtk::bench {
 namespace {
 
 struct Measurement {
-  uint32_t checkpoint_rate = 0;
+  std::string workload;
   OccTable::RankKernel kernel = OccTable::RankKernel::kScalar;
-  double rank_ns = 0;
-  double rankall_ns = 0;
-  size_t iters = 0;
+  RankCost cost;
 };
 
-// Same loop shape as bench_report's CalibrateRank: an LCG walks random rows
-// and the result feeds a sink, so every iteration depends on the previous
-// position and dead-code elimination cannot drop the measured calls.
-Measurement MeasureKernel(const OccTable& occ, size_t iters) {
-  Measurement m;
-  m.checkpoint_rate = occ.checkpoint_rate();
-  m.kernel = occ.kernel();
-  m.iters = iters;
-  const size_t rows = occ.size();
-  uint64_t sink = 0;
-
-  Stopwatch watch;
-  size_t pos = 1;
-  for (size_t i = 0; i < iters; ++i) {
-    sink += occ.Rank(static_cast<DnaCode>(i & 3), pos);
-    pos = (pos * 2862933555777941757ULL + 3037000493ULL) % rows;
-  }
-  m.rank_ns = watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
-
-  uint32_t ranks[kDnaAlphabetSize];
-  watch.Restart();
-  pos = 1;
-  for (size_t i = 0; i < iters; ++i) {
-    occ.RankAll(pos, ranks);
-    sink += ranks[i & 3];
-    pos = (pos * 2862933555777941757ULL + 3037000493ULL) % rows;
-  }
-  m.rankall_ns = watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
-
-  if (sink == 0x5eed) std::printf(" ");  // defeat dead-code elimination
-  return m;
-}
-
 int Run(int argc, char** argv) {
-  std::string name = "rank_kernel";
-  std::string out_dir = ".";
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) {
-      name = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_rank_kernel [--name NAME] [--out DIR] "
-                   "[--smoke]\n");
-      return 2;
-    }
-  }
+  ReportFlags flags;
+  flags.name = "rank_kernel";
+  if (!ParseReportFlags(argc, argv, &flags)) return 2;
 
-  const size_t genome_length = Scaled(smoke ? (1u << 16) : (1u << 21));
-  const size_t iters = smoke ? 50000 : 400000;
+  const size_t genome_length =
+      Scaled(flags.smoke ? (1u << 16) : (1u << 21));
+  const size_t iters = flags.smoke ? 50000 : 400000;
   const std::vector<uint32_t> rates = {32, 64, 128};
   std::vector<OccTable::RankKernel> kernels = {OccTable::RankKernel::kScalar,
                                               OccTable::RankKernel::kWord64};
@@ -106,7 +51,7 @@ int Run(int argc, char** argv) {
   }
 
   PrintBanner(
-      "bench_rank_kernel: gap-scan kernels -> BENCH_" + name + ".json",
+      "bench_rank_kernel: gap-scan kernels -> BENCH_" + flags.name + ".json",
       std::to_string(rates.size()) + " checkpoint rates x " +
           std::to_string(kernels.size()) + " kernels, " +
           FormatCount(iters) + " calls each" +
@@ -115,82 +60,49 @@ int Run(int argc, char** argv) {
   const auto genome = MakeGenome(genome_length, 42);
   const Bwt bwt = BwtFromText(genome).value();
 
+  BenchReport report("bench_rank_kernel", flags);
   TablePrinter table({"rate", "kernel", "rank ns", "rankall ns"});
   std::vector<Measurement> measurements;
   for (const uint32_t rate : rates) {
+    const std::string workload = "rate-" + std::to_string(rate);
+    report.AddWorkload(workload, genome_length)
+        .Key("seed")
+        .Value(42)
+        .Key("checkpoint_rate")
+        .Value(rate);
     for (const OccTable::RankKernel kernel : kernels) {
       const OccTable occ = OccTable::Build(&bwt, rate, kernel).value();
       // One warmup pass so page faults and the branch predictor settle
       // outside the measured loops.
-      (void)MeasureKernel(occ, iters / 10 + 1);
-      const Measurement m = MeasureKernel(occ, iters);
-      measurements.push_back(m);
+      (void)MeasureRank(occ, iters / 10 + 1);
+      measurements.push_back({workload, kernel, MeasureRank(occ, iters)});
+      const RankCost& cost = measurements.back().cost;
       char rank_buf[32];
       char rankall_buf[32];
-      std::snprintf(rank_buf, sizeof(rank_buf), "%.1f", m.rank_ns);
-      std::snprintf(rankall_buf, sizeof(rankall_buf), "%.1f", m.rankall_ns);
+      std::snprintf(rank_buf, sizeof(rank_buf), "%.1f", cost.rank_ns);
+      std::snprintf(rankall_buf, sizeof(rankall_buf), "%.1f",
+                    cost.rankall_ns);
       table.AddRow({std::to_string(rate), std::string(occ.kernel_name()),
                     rank_buf, rankall_buf});
     }
   }
 
-  obs::JsonWriter json;
-  json.BeginObject()
-      .Key("schema_version")
-      .Value(1)
-      .Key("name")
-      .Value(name)
-      .Key("created_by")
-      .Value("bench_rank_kernel")
-      .Key("smoke")
-      .Value(smoke)
-      .Key("scale")
-      .Value(BenchScale())
-      .Key("hardware")
-      .BeginObject()
-      .Key("hardware_concurrency")
-      .Value(static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Key("metrics_compiled_in")
-      .Value(BWTK_METRICS_ENABLED != 0)
-      .Key("avx2_available")
-      .Value(OccTable::Avx2Available())
-      .EndObject()
-      .Key("genome_length")
-      .Value(static_cast<uint64_t>(genome_length))
-      .Key("measurements")
-      .BeginArray();
   for (const Measurement& m : measurements) {
-    json.BeginObject()
-        .Key("checkpoint_rate")
-        .Value(m.checkpoint_rate)
-        .Key("kernel")
-        .Value(OccTable::KernelName(m.kernel))
+    const double wall_seconds =
+        (m.cost.rank_ns + m.cost.rankall_ns) * static_cast<double>(iters) /
+        1e9;
+    report
+        .AddRun({m.workload, 0, 0, OccTable::KernelName(m.kernel), 1},
+                wall_seconds, "calls_per_second", 2.0 * iters)
         .Key("rank_ns")
-        .Value(m.rank_ns)
+        .Value(m.cost.rank_ns)
         .Key("rankall_ns")
-        .Value(m.rankall_ns)
+        .Value(m.cost.rankall_ns)
         .Key("iters")
-        .Value(static_cast<uint64_t>(m.iters))
-        .EndObject();
+        .Value(static_cast<uint64_t>(iters));
   }
-  json.EndArray().EndObject();
-
-  const std::string path = out_dir + "/BENCH_" + name + ".json";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  out << std::move(json).TakeString() << "\n";
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "write to %s failed\n", path.c_str());
-    return 1;
-  }
-
   table.Print();
-  std::printf("report written to %s\n", path.c_str());
-  return 0;
+  return std::move(report).Write() ? 0 : 1;
 }
 
 }  // namespace

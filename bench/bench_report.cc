@@ -12,8 +12,12 @@
 // The rank phase is *estimated*, not timed: per-call timing of an ~50 ns
 // rank would dwarf the operation (see docs/OBSERVABILITY.md, "Overhead").
 // Instead the driver calibrates the average Rank/RankAll cost per genome
-// with a measurement loop and multiplies by the counted calls; the entry is
+// with MeasureRank and multiplies by the counted calls; the entry is
 // marked "estimated": true in the JSON.
+//
+// stree, algorithm_a, batch and sharded answer the same question, so every
+// read's hit list is compared across them before anything is written; the
+// bench refuses to report wrong answers.
 //
 //   bench_report [--name NAME] [--out DIR] [--smoke] [--threads N]
 //                [--prefix-q Q] [--shards S]
@@ -22,7 +26,7 @@
 // x 3 k values x the engine list). BWTK_BENCH_SCALE applies as everywhere
 // else. --prefix-q attaches a q-gram prefix interval table to every index
 // (0 = none, the default — keeps old and new reports cell-for-cell
-// comparable); each genome entry records its "rank_kernel" and
+// comparable); each genome's workload entry records its "rank_kernel" and
 // "prefix_table_q" so a report is self-describing about the index
 // configuration it measured.
 //
@@ -39,17 +43,15 @@
 //
 // --shards S (0 = off) additionally builds an S-shard ShardedIndex per
 // genome — timing the parallel shard build against the monolithic one in
-// the genome entry ("sharded_index_build_seconds", "num_shards") — and adds
+// the workload entry ("sharded_index_build_seconds", "num_shards") — and adds
 // a "sharded" engine cell per k running the same batch workload through
 // ShardedBatchSearcher; those runs carry a "num_shards" field.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
@@ -76,10 +78,7 @@ struct GenomeSpec {
   uint64_t seed;
 };
 
-struct Calibration {
-  double rank_ns = 0;     // average OccTable::Rank call
-  double rankall_ns = 0;  // average OccTable::RankAll call
-};
+using Reads = std::vector<std::vector<DnaCode>>;
 
 struct CellResult {
   std::string engine;
@@ -89,57 +88,33 @@ struct CellResult {
   size_t total_hits = 0;
   SearchStats stats;
   obs::MetricsBlock delta;
+  std::vector<std::vector<Occurrence>> hits;  // per read
 };
 
 /// Largest k the serial kerror cells run at (see the file comment).
 constexpr int32_t kMaxKErrorBudget = 2;
 
-// Average per-call cost of the two rank primitives, measured against the
-// real index so checkpoint-gap scanning is represented.
-Calibration CalibrateRank(const FmIndex& index) {
-  const size_t rows = index.rows();
-  const size_t iters = 200000;
-  Calibration cal;
-  uint64_t sink = 0;
+/// Calls per MeasureRank loop when calibrating a genome's rank cost.
+constexpr size_t kCalibrationIters = 200000;
 
-  Stopwatch watch;
-  size_t pos = 1;
-  for (size_t i = 0; i < iters; ++i) {
-    sink += index.occ().Rank(static_cast<DnaCode>(i & 3), pos);
-    pos = (pos * 2862933555777941757ULL + 3037000493ULL) % rows;
-  }
-  cal.rank_ns = watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
-
-  uint32_t ranks[kDnaAlphabetSize];
-  watch.Restart();
-  pos = 1;
-  for (size_t i = 0; i < iters; ++i) {
-    index.occ().RankAll(pos, ranks);
-    sink += ranks[i & 3];
-    pos = (pos * 2862933555777941757ULL + 3037000493ULL) % rows;
-  }
-  cal.rankall_ns = watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
-
-  if (sink == 0x5eed) std::printf(" ");  // defeat dead-code elimination
-  return cal;
-}
-
-CellResult RunSerial(const FmIndex& index, bool algorithm_a,
-                     const std::vector<std::vector<DnaCode>>& reads,
-                     int32_t k) {
+// Runs `search(read, &stats)` over every read, one read at a time. Hamming
+// hit lists are kept for the cross-check.
+template <typename Search>
+CellResult RunSerial(std::string engine, const Reads& reads,
+                     const Search& search) {
   CellResult cell;
-  cell.engine = algorithm_a ? "algorithm_a" : "stree";
-  const STreeSearch stree(&index);
-  const AlgorithmA alg(&index);
-  AlgorithmAScratch scratch;
+  cell.engine = std::move(engine);
+  cell.hits.reserve(reads.size());
   const obs::MetricsBlock before = obs::MetricsRegistry::Instance().Snapshot();
   Stopwatch watch;
   for (const auto& read : reads) {
     SearchStats stats;
-    const auto hits = algorithm_a ? alg.Search(read, k, &stats, &scratch)
-                                  : stree.Search(read, k, &stats);
+    auto hits = search(read, &stats);
     cell.total_hits += hits.size();
     cell.stats += stats;
+    if constexpr (std::is_same_v<decltype(hits), std::vector<Occurrence>>) {
+      cell.hits.push_back(std::move(hits));
+    }
   }
   cell.wall_seconds = watch.ElapsedSeconds();
   cell.delta =
@@ -147,118 +122,93 @@ CellResult RunSerial(const FmIndex& index, bool algorithm_a,
   return cell;
 }
 
-CellResult RunKError(const FmIndex& index,
-                     const std::vector<std::vector<DnaCode>>& reads,
-                     int32_t k) {
+// Runs one batch through `search`, which builds a pool, answers the batch
+// and tears the pool down: construction and teardown sit inside the timed
+// and delta'd region, so the cell reports what a cold batch costs,
+// queue-wait tail included.
+template <typename Search>
+CellResult RunBatch(std::string engine, int threads, const Search& search) {
   CellResult cell;
-  cell.engine = "kerror";
-  const KErrorSearch kerror(&index);
+  cell.engine = std::move(engine);
+  cell.threads = threads;
   const obs::MetricsBlock before = obs::MetricsRegistry::Instance().Snapshot();
   Stopwatch watch;
-  for (const auto& read : reads) {
-    SearchStats stats;
-    cell.total_hits += kerror.Search(read, k, &stats).size();
-    cell.stats += stats;
-  }
+  BatchResult result = search();
   cell.wall_seconds = watch.ElapsedSeconds();
   cell.delta =
       obs::Diff(obs::MetricsRegistry::Instance().Snapshot(), before);
+  cell.stats = result.stats;
+  for (const auto& hits : result.occurrences) cell.total_hits += hits.size();
+  cell.hits = std::move(result.occurrences);
   return cell;
 }
 
 // Wildcard cells run a derived workload: the same reads with two positions
 // punched to the wildcard code (see the file comment).
-CellResult RunWildcard(const FmIndex& index,
-                       const std::vector<std::vector<DnaCode>>& reads,
-                       int32_t k) {
-  CellResult cell;
-  cell.engine = "wildcard";
-  const WildcardSearch wildcard(&index);
-  std::vector<std::vector<DnaCode>> punched = reads;
-  for (auto& read : punched) {
+Reads PunchWildcards(Reads reads) {
+  for (auto& read : reads) {
     if (read.size() < 3) continue;
     read[read.size() / 3] = kWildcardCode;
     read[2 * read.size() / 3] = kWildcardCode;
   }
-  const obs::MetricsBlock before = obs::MetricsRegistry::Instance().Snapshot();
-  Stopwatch watch;
-  for (const auto& read : punched) {
-    SearchStats stats;
-    cell.total_hits += wildcard.Search(read, k, &stats).size();
-    cell.stats += stats;
-  }
-  cell.wall_seconds = watch.ElapsedSeconds();
-  cell.delta =
-      obs::Diff(obs::MetricsRegistry::Instance().Snapshot(), before);
-  return cell;
+  return reads;
 }
 
-CellResult RunSharded(const ShardedIndex& index,
-                      const std::vector<std::vector<DnaCode>>& reads,
-                      int32_t k, int threads) {
-  CellResult cell;
-  cell.engine = "sharded";
-  cell.threads = threads;
-  cell.num_shards = index.num_shards();
-  std::vector<BatchQuery> queries;
-  queries.reserve(reads.size());
-  for (const auto& read : reads) queries.push_back({read, k});
-  const obs::MetricsBlock before = obs::MetricsRegistry::Instance().Snapshot();
-  Stopwatch watch;
-  {
-    // Like RunBatch: pool construction/teardown inside the timed region.
-    ShardedBatchSearcher sharded(&index, {.num_threads = threads});
-    auto result = sharded.Search(queries);
-    if (!result.ok()) {
-      std::fprintf(stderr, "sharded cell failed: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
+// Every engine that answers the Hamming question must return the same hits
+// for every read; kerror and wildcard answer other questions.
+bool HammingEnginesAgree(const std::vector<CellResult>& cells,
+                         const std::string& genome, int32_t k) {
+  const CellResult* reference = nullptr;
+  for (const CellResult& cell : cells) {
+    if (cell.engine == "kerror" || cell.engine == "wildcard") continue;
+    if (reference == nullptr) {
+      reference = &cell;
+      continue;
     }
-    cell.stats = result->stats;
-    for (const auto& hits : result->occurrences) {
-      cell.total_hits += hits.size();
+    for (size_t i = 0; i < reference->hits.size(); ++i) {
+      if (i >= cell.hits.size() || cell.hits[i] != reference->hits[i]) {
+        std::fprintf(stderr,
+                     "%s k=%d: %s and %s disagree on read %zu — refusing to "
+                     "report wrong answers\n",
+                     genome.c_str(), k, reference->engine.c_str(),
+                     cell.engine.c_str(), i);
+        return false;
+      }
     }
   }
-  cell.wall_seconds = watch.ElapsedSeconds();
-  cell.delta =
-      obs::Diff(obs::MetricsRegistry::Instance().Snapshot(), before);
-  return cell;
+  return true;
 }
 
-CellResult RunBatch(const FmIndex& index,
-                    const std::vector<std::vector<DnaCode>>& reads, int32_t k,
-                    int threads) {
-  CellResult cell;
-  cell.engine = "batch";
-  cell.threads = threads;
-  std::vector<BatchQuery> queries;
-  queries.reserve(reads.size());
-  for (const auto& read : reads) queries.push_back({read, k});
-  const obs::MetricsBlock before = obs::MetricsRegistry::Instance().Snapshot();
-  Stopwatch watch;
-  {
-    // Pool construction/teardown inside the timed+delta'd region: the cell
-    // reports what a cold batch costs, queue-wait tail included.
-    BatchSearcher batch(&index, {.num_threads = threads});
-    BatchResult result = batch.Search(queries);
-    cell.stats = result.stats;
-    for (const auto& hits : result.occurrences) cell.total_hits += hits.size();
-  }
-  cell.wall_seconds = watch.ElapsedSeconds();
-  cell.delta =
-      obs::Diff(obs::MetricsRegistry::Instance().Snapshot(), before);
-  return cell;
-}
+// The run's registry delta: the latency estimate, the phases with the rank
+// phase estimated from `cost`, the counters and the histograms.
+void AppendRunMetrics(const obs::MetricsBlock& delta, const RankCost& cost,
+                      obs::JsonWriter* w) {
+  // Quantiles estimated from the log2 per-query latency histogram:
+  // order-of-magnitude faithful (bucket-bounded error), cheap, and derived
+  // from data the report already carries.
+  const obs::Histogram& latency = delta.hists[obs::kHistQueryNanos];
+  w->Key("latency_estimate")
+      .BeginObject()
+      .Key("p50_nanos")
+      .Value(obs::EstimateQuantile(latency, 0.50))
+      .Key("p95_nanos")
+      .Value(obs::EstimateQuantile(latency, 0.95))
+      .Key("p99_nanos")
+      .Value(obs::EstimateQuantile(latency, 0.99))
+      .Key("samples")
+      .Value(latency.count)
+      .Key("estimated")
+      .Value(true)
+      .EndObject();
 
-void AppendPhasesWithRankEstimate(const obs::MetricsBlock& delta,
-                                  const Calibration& cal,
-                                  obs::JsonWriter* w) {
-  w->BeginObject();
   const uint64_t rank_calls = delta.counters[obs::kCounterRankCalls];
   const uint64_t rankall_calls = delta.counters[obs::kCounterRankAllCalls];
-  const double rank_nanos = static_cast<double>(rank_calls) * cal.rank_ns +
-                            static_cast<double>(rankall_calls) * cal.rankall_ns;
-  w->Key("rank")
+  const double rank_nanos =
+      static_cast<double>(rank_calls) * cost.rank_ns +
+      static_cast<double>(rankall_calls) * cost.rankall_ns;
+  w->Key("phases")
+      .BeginObject()
+      .Key("rank")
       .BeginObject()
       .Key("nanos")
       .Value(static_cast<uint64_t>(rank_nanos))
@@ -277,34 +227,23 @@ void AppendPhasesWithRankEstimate(const obs::MetricsBlock& delta,
         .EndObject();
   }
   w->EndObject();
+  w->Key("counters");
+  obs::AppendCounters(delta, w);
+  w->Key("histograms");
+  obs::AppendHistograms(delta, w);
 }
 
 int Run(int argc, char** argv) {
-  std::string name = "report";
-  std::string out_dir = ".";
-  bool smoke = false;
+  ReportFlags flags;
+  flags.name = "report";
   int threads = 4;
   int prefix_q = 0;
   int shards = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) {
-      name = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--prefix-q") == 0 && i + 1 < argc) {
-      prefix_q = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_report [--name NAME] [--out DIR] [--smoke] "
-                   "[--threads N] [--prefix-q Q] [--shards S]\n");
-      return 2;
-    }
+  if (!ParseReportFlags(argc, argv, &flags,
+                        {{"--threads", &threads},
+                         {"--prefix-q", &prefix_q},
+                         {"--shards", &shards}})) {
+    return 2;
   }
   if (shards < 0) shards = 0;
   if (threads <= 0) threads = 4;
@@ -315,6 +254,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
+  const bool smoke = flags.smoke;
   const std::vector<GenomeSpec> genomes =
       smoke ? std::vector<GenomeSpec>{{"smoke-16K", 1u << 14, 42},
                                       {"smoke-32K", 1u << 15, 1042}}
@@ -325,69 +265,28 @@ int Run(int argc, char** argv) {
   const size_t read_length = smoke ? 50 : 100;
   const size_t read_count = smoke ? 6 : 20;
 
-  std::vector<std::string> engines = {"stree", "algorithm_a", "kerror",
-                                      "wildcard", "batch"};
-  if (shards > 0) engines.push_back("sharded");
+  const size_t num_engines = shards > 0 ? 6 : 5;
   // Overlap covering every read window the grid issues, kerror included.
   const size_t shard_overlap =
       read_length + static_cast<size_t>(kMaxKErrorBudget);
 
-  PrintBanner("bench_report: observability grid -> BENCH_" + name + ".json",
+  PrintBanner("bench_report: observability grid -> BENCH_" + flags.name +
+                  ".json",
               std::to_string(genomes.size()) + " genomes x " +
                   std::to_string(k_values.size()) + " k values x " +
-                  std::to_string(engines.size()) + " engines, reads " +
+                  std::to_string(num_engines) + " engines, reads " +
                   std::to_string(read_length) + " bp x " +
                   std::to_string(read_count));
 
-  obs::JsonWriter json;
-  json.BeginObject()
-      .Key("schema_version")
-      .Value(1)
-      .Key("name")
-      .Value(name)
-      .Key("created_by")
-      .Value("bench_report")
-      .Key("smoke")
-      .Value(smoke)
-      .Key("scale")
-      .Value(BenchScale())
-      .Key("hardware")
-      .BeginObject()
-      .Key("hardware_concurrency")
-      .Value(static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Key("metrics_compiled_in")
-      .Value(BWTK_METRICS_ENABLED != 0)
-      .EndObject();
-
-  json.Key("grid").BeginObject().Key("genomes").BeginArray();
-  for (const auto& g : genomes) json.Value(g.name);
-  json.EndArray().Key("k_values").BeginArray();
-  for (const int32_t k : k_values) json.Value(k);
-  json.EndArray().Key("engines").BeginArray();
-  for (const std::string& e : engines) json.Value(e);
-  json.EndArray()
-      .Key("read_length")
-      .Value(static_cast<uint64_t>(read_length))
-      .Key("read_count")
-      .Value(static_cast<uint64_t>(read_count))
-      .Key("batch_threads")
-      .Value(threads)
-      .Key("prefix_table_q")
-      .Value(static_cast<uint64_t>(prefix_q))
-      .Key("num_shards")
-      .Value(static_cast<uint64_t>(shards))
-      .EndObject();
-
+  BenchReport report("bench_report", flags);
   TablePrinter table({"genome", "k", "engine", "wall", "reads/s", "hits",
                       "extend calls", "n'"});
 
-  json.Key("genomes").BeginArray();
   struct BuiltGenome {
     GenomeSpec spec;
-    size_t length;
-    std::vector<std::vector<DnaCode>> reads;
+    Reads reads;
     FmIndex index;
-    Calibration cal;
+    RankCost cost;
     std::unique_ptr<ShardedIndex> sharded;  // only with --shards > 0
   };
   std::vector<BuiltGenome> built;
@@ -424,14 +323,12 @@ int Run(int argc, char** argv) {
       sharded_build_seconds = shard_watch.ElapsedSeconds();
       sharded = std::make_unique<ShardedIndex>(std::move(result).value());
     }
-    const Calibration cal = CalibrateRank(index);
-    json.BeginObject()
-        .Key("name")
-        .Value(spec.name)
-        .Key("length")
-        .Value(static_cast<uint64_t>(length))
-        .Key("seed")
+    const RankCost cost = MeasureRank(index.occ(), kCalibrationIters);
+    obs::JsonWriter& workload = report.AddWorkload(spec.name, length);
+    workload.Key("seed")
         .Value(spec.seed)
+        .Key("read_count")
+        .Value(static_cast<uint64_t>(read_count))
         .Key("index_build_seconds")
         .Value(build_seconds)
         .Key("index_build_phase_nanos")
@@ -439,15 +336,15 @@ int Run(int argc, char** argv) {
         .Key("index_bytes")
         .Value(static_cast<uint64_t>(index.MemoryUsage()))
         .Key("rank_ns")
-        .Value(cal.rank_ns)
+        .Value(cost.rank_ns)
         .Key("rankall_ns")
-        .Value(cal.rankall_ns)
+        .Value(cost.rankall_ns)
         .Key("rank_kernel")
         .Value(index.rank_kernel_name())
         .Key("prefix_table_q")
         .Value(index.prefix_table_q());
     if (sharded != nullptr) {
-      json.Key("sharded_index_build_seconds")
+      workload.Key("sharded_index_build_seconds")
           .Value(sharded_build_seconds)
           .Key("num_shards")
           .Value(static_cast<uint64_t>(sharded->num_shards()))
@@ -456,85 +353,76 @@ int Run(int argc, char** argv) {
           .Key("sharded_index_bytes")
           .Value(static_cast<uint64_t>(sharded->MemoryUsage()));
     }
-    json.EndObject();
-    built.push_back({spec, length,
+    built.push_back({spec,
                      MakeReads(genome, read_length, read_count, spec.seed + 7),
-                     std::move(index), cal, std::move(sharded)});
+                     std::move(index), cost, std::move(sharded)});
   }
-  json.EndArray();
 
-  json.Key("runs").BeginArray();
+  BatchOptions pool_options;
+  pool_options.num_threads = threads;
   for (const auto& g : built) {
+    const STreeSearch stree(&g.index);
+    const AlgorithmA alg(&g.index);
+    const KErrorSearch kerror(&g.index);
+    const WildcardSearch wildcard(&g.index);
+    const Reads punched = PunchWildcards(g.reads);
     // Warm each engine once so cold-start noise lands outside the cells.
-    (void)STreeSearch(&g.index).Search(g.reads[0], 1);
-    (void)AlgorithmA(&g.index).Search(g.reads[0], 1);
+    (void)stree.Search(g.reads[0], 1);
+    (void)alg.Search(g.reads[0], 1);
     for (const int32_t k : k_values) {
+      std::vector<BatchQuery> queries;
+      queries.reserve(g.reads.size());
+      for (const auto& read : g.reads) queries.push_back({read, k});
+
+      AlgorithmAScratch scratch;
       std::vector<CellResult> cells;
-      cells.push_back(RunSerial(g.index, /*algorithm_a=*/false, g.reads, k));
-      cells.push_back(RunSerial(g.index, /*algorithm_a=*/true, g.reads, k));
+      cells.push_back(RunSerial("stree", g.reads, [&](const auto& read,
+                                                      SearchStats* stats) {
+        return stree.Search(read, k, stats);
+      }));
+      cells.push_back(RunSerial("algorithm_a", g.reads, [&](const auto& read,
+                                                            SearchStats* s) {
+        return alg.Search(read, k, s, &scratch);
+      }));
       if (k <= kMaxKErrorBudget) {
-        cells.push_back(RunKError(g.index, g.reads, k));
+        cells.push_back(RunSerial("kerror", g.reads, [&](const auto& read,
+                                                         SearchStats* s) {
+          return kerror.Search(read, k, s);
+        }));
       }
-      cells.push_back(RunWildcard(g.index, g.reads, k));
-      cells.push_back(RunBatch(g.index, g.reads, k, threads));
+      cells.push_back(RunSerial("wildcard", punched, [&](const auto& read,
+                                                         SearchStats* s) {
+        return wildcard.Search(read, k, s);
+      }));
+      cells.push_back(RunBatch("batch", threads, [&] {
+        BatchSearcher batch(&g.index, pool_options);
+        return batch.Search(queries);
+      }));
       if (g.sharded != nullptr) {
-        cells.push_back(RunSharded(*g.sharded, g.reads, k, threads));
+        cells.push_back(RunBatch("sharded", threads, [&] {
+          ShardedBatchSearcher sharded(g.sharded.get(), pool_options);
+          auto result = sharded.Search(queries);
+          if (!result.ok()) {
+            std::fprintf(stderr, "sharded cell failed: %s\n",
+                         result.status().ToString().c_str());
+            std::exit(1);
+          }
+          return std::move(result).value();
+        }));
+        cells.back().num_shards = g.sharded->num_shards();
       }
+      if (!HammingEnginesAgree(cells, g.spec.name, k)) return 1;
+
       for (const CellResult& cell : cells) {
-        const double reads_per_second =
-            cell.wall_seconds > 0
-                ? static_cast<double>(read_count) / cell.wall_seconds
-                : 0;
-        json.BeginObject()
-            .Key("genome")
-            .Value(g.spec.name)
-            .Key("genome_length")
-            .Value(static_cast<uint64_t>(g.length))
-            .Key("read_length")
-            .Value(static_cast<uint64_t>(read_length))
-            .Key("read_count")
-            .Value(static_cast<uint64_t>(read_count))
-            .Key("k")
-            .Value(k)
-            .Key("engine")
-            .Value(cell.engine)
-            .Key("threads")
-            .Value(cell.threads);
+        obs::JsonWriter& run = report.AddRun(
+            {g.spec.name, read_length, k, cell.engine, cell.threads},
+            cell.wall_seconds, read_count, cell.total_hits, cell.stats);
         if (cell.num_shards > 0) {
-          json.Key("num_shards").Value(static_cast<uint64_t>(cell.num_shards));
+          run.Key("num_shards").Value(static_cast<uint64_t>(cell.num_shards));
         }
-        json.Key("wall_seconds")
-            .Value(cell.wall_seconds)
-            .Key("reads_per_second")
-            .Value(reads_per_second)
-            .Key("total_hits")
-            .Value(static_cast<uint64_t>(cell.total_hits));
-        // Quantiles estimated from the log2 per-query latency histogram:
-        // order-of-magnitude faithful (bucket-bounded error), cheap, and
-        // derived from data the report already carries.
-        const obs::Histogram& latency = cell.delta.hists[obs::kHistQueryNanos];
-        json.Key("latency_estimate")
-            .BeginObject()
-            .Key("p50_nanos")
-            .Value(obs::EstimateQuantile(latency, 0.50))
-            .Key("p95_nanos")
-            .Value(obs::EstimateQuantile(latency, 0.95))
-            .Key("p99_nanos")
-            .Value(obs::EstimateQuantile(latency, 0.99))
-            .Key("samples")
-            .Value(latency.count)
-            .Key("estimated")
-            .Value(true)
-            .EndObject();
-        json.Key("stats");
-        obs::AppendSearchStats(cell.stats, &json);
-        json.Key("phases");
-        AppendPhasesWithRankEstimate(cell.delta, g.cal, &json);
-        json.Key("counters");
-        obs::AppendCounters(cell.delta, &json);
-        json.Key("histograms");
-        obs::AppendHistograms(cell.delta, &json);
-        json.EndObject();
+        AppendRunMetrics(cell.delta, g.cost, &run);
+        const double reads_per_second =
+            cell.wall_seconds > 0 ? read_count / cell.wall_seconds : 0;
         table.AddRow({g.spec.name, std::to_string(k), cell.engine,
                       FormatSeconds(cell.wall_seconds),
                       FormatCount(static_cast<uint64_t>(reads_per_second)),
@@ -544,24 +432,9 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  json.EndArray().EndObject();
-
-  const std::string path = out_dir + "/BENCH_" + name + ".json";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  out << std::move(json).TakeString() << "\n";
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "write to %s failed\n", path.c_str());
-    return 1;
-  }
 
   table.Print();
-  std::printf("report written to %s\n", path.c_str());
-  return 0;
+  return std::move(report).Write() ? 0 : 1;
 }
 
 }  // namespace

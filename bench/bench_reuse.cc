@@ -2,9 +2,9 @@
 // (search/result_cache.h) on top of the batch engines, monolithic and
 // sharded, against the cache-off baseline.
 // Emits BENCH_<name>.json (created_by "bench_reuse", validated by
-// tools/validate_bench_json.py, gated by tools/bench_diff.py on the
-// (genome, k, engine, threads) key where `engine` carries the reuse
-// configuration).
+// tools/validate_bench_json.py, gated by tools/bench_diff.py per
+// (workload, read_length, k, engine, threads), where `engine` carries the
+// reuse configuration).
 //
 // Two workloads:
 //   * reuse-zipf:   a Zipf(s = 1.0) draw over a small pool of distinct
@@ -25,22 +25,16 @@
 // engines x k = 0..5, monolithic and sharded.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "alphabet/dna.h"
 #include "bwt/fm_index.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
-#include "obs/report.h"
 #include "search/algorithm_a.h"
 #include "search/batch_searcher.h"
 #include "search/result_cache.h"
@@ -316,23 +310,11 @@ size_t CrossValidate(const FmIndex& index, const ShardedIndex& sharded,
 }
 
 int Run(int argc, char** argv) {
-  bool smoke = false;
-  std::string name = "reuse";
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) {
-      name = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_reuse [--name NAME] [--out DIR] [--smoke]\n");
-      return 2;
-    }
-  }
+  ReportFlags flags;
+  flags.name = "reuse";
+  if (!ParseReportFlags(argc, argv, &flags)) return 2;
 
+  const bool smoke = flags.smoke;
   const std::string genome_tag = smoke ? "smoke-32K" : "synth-1M";
   const size_t genome_length = smoke ? (1u << 15) : Scaled(1u << 20);
   const size_t read_length = smoke ? 50 : 100;
@@ -344,8 +326,7 @@ int Run(int argc, char** argv) {
   const int crossval_threads = 4;
 
   PrintBanner(
-      "bench_reuse: result-cache reuse -> BENCH_" + name +
-          ".json",
+      "bench_reuse: result-cache reuse -> BENCH_" + flags.name + ".json",
       genome_tag + ", " + std::to_string(query_count) + " queries of " +
           std::to_string(read_length) + " bp (zipf over " +
           std::to_string(zipf_distinct) + " distinct / all-unique), " +
@@ -395,7 +376,6 @@ int Run(int argc, char** argv) {
     int32_t k;
     const ConfigSpec* config;
     size_t queries;
-    size_t distinct;
     RunOutcome outcome;
   };
   std::vector<Row> rows;
@@ -413,19 +393,16 @@ int Run(int argc, char** argv) {
     struct Workload {
       std::string name;
       std::vector<BatchQuery> queries;
-      size_t distinct;
     };
     const std::vector<Workload> workloads = {
         {"reuse-zipf-" + genome_tag,
-         ZipfQueries(zipf_pool, query_count, k, 101 + k), zipf_distinct},
-        {"reuse-unique-" + genome_tag, UniqueQueries(unique_reads, k),
-         unique_reads.size()},
+         ZipfQueries(zipf_pool, query_count, k, 101 + k)},
+        {"reuse-unique-" + genome_tag, UniqueQueries(unique_reads, k)},
     };
     for (const Workload& workload : workloads) {
       const RunOutcome* baseline = nullptr;
       for (const ConfigSpec& cfg : kConfigs) {
         rows.push_back({workload.name, k, &cfg, workload.queries.size(),
-                        workload.distinct,
                         RunTimed(index, sharded, cfg, workload.queries,
                                  reps)});
         const RunOutcome& outcome = rows.back().outcome;
@@ -489,134 +466,44 @@ int Run(int argc, char** argv) {
   const double zipf_sharded_speedup =
       zipf_shard_cache > 0 ? zipf_shard_off / zipf_shard_cache : 0;
 
-  obs::JsonWriter json;
-  json.BeginObject()
-      .Key("schema_version")
-      .Value(1)
-      .Key("name")
-      .Value(name)
-      .Key("created_by")
-      .Value("bench_reuse")
-      .Key("smoke")
-      .Value(smoke)
-      .Key("scale")
-      .Value(BenchScale())
-      .Key("hardware")
-      .BeginObject()
-      .Key("hardware_concurrency")
-      .Value(static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Key("metrics_compiled_in")
-      .Value(BWTK_METRICS_ENABLED != 0)
-      .EndObject()
-      .Key("workload")
-      .BeginObject()
-      .Key("genome")
-      .Value(genome_tag)
-      .Key("genome_length")
-      .Value(static_cast<uint64_t>(genome.size()))
-      .Key("read_length")
-      .Value(static_cast<uint64_t>(read_length))
-      .Key("query_count")
-      .Value(static_cast<uint64_t>(query_count))
-      .Key("zipf_distinct")
-      .Value(static_cast<uint64_t>(zipf_distinct))
-      .Key("zipf_exponent")
-      .Value(1.0)
-      .Key("reps")
-      .Value(reps)
-      .Key("timed_threads")
-      .Value(1)
-      .Key("num_shards")
-      .Value(static_cast<uint64_t>(shard_options.num_shards))
-      .EndObject()
-      .Key("cross_validation")
-      .BeginObject()
-      .Key("cells")
-      .Value(static_cast<uint64_t>(grid_cells))
-      .Key("byte_identical")
-      .Value(grid_ok)
-      .Key("max_k")
-      .Value(smoke ? 2 : 5)
-      .Key("engines")
-      .BeginArray();
-  json.Value("algorithm_a").Value("stree");
-  if (!smoke) json.Value("kerror");
-  json.EndArray().EndObject();
-
-  json.Key("runs").BeginArray();
-  for (const Row& row : rows) {
-    const RunOutcome& r = row.outcome;
-    const double qps =
-        r.wall_seconds > 0
-            ? static_cast<double>(row.queries) / r.wall_seconds
-            : 0;
-    json.BeginObject()
-        .Key("genome")
-        .Value(row.workload)
-        .Key("genome_length")
-        .Value(static_cast<uint64_t>(genome.size()))
-        .Key("read_length")
-        .Value(static_cast<uint64_t>(read_length))
-        .Key("read_count")
-        .Value(static_cast<uint64_t>(row.queries))
-        .Key("distinct_queries")
-        .Value(static_cast<uint64_t>(row.distinct))
-        .Key("k")
-        .Value(row.k)
-        .Key("engine")
-        .Value(row.config->name)
-        .Key("threads")
-        .Value(1)
-        .Key("reps")
-        .Value(reps)
-        .Key("wall_seconds")
-        .Value(r.wall_seconds)
-        .Key("reads_per_second")
-        .Value(qps)
-        .Key("total_hits")
-        .Value(r.total_hits)
-        .Key("cache_hits")
-        .Value(r.cache_stats.hits)
-        .Key("cache_misses")
-        .Value(r.cache_stats.misses)
-        .Key("cache_evictions")
-        .Value(r.cache_stats.evictions);
-    json.Key("stats");
-    obs::AppendSearchStats(r.stats, &json);
-    json.EndObject();
-  }
-  json.EndArray();
-
-  json.Key("aggregate")
-      .BeginObject()
-      .Key("zipf_speedup_full")
-      .Value(zipf_speedup)
-      .Key("unique_ratio_full")
-      .Value(unique_ratio)
-      .Key("zipf_speedup_sharded")
-      .Value(zipf_sharded_speedup)
-      .EndObject();
-  json.EndObject();
-
   table.Print();
   std::printf(
       "\naggregate: zipf cache speedup %.2fx, unique ratio %.2fx, "
       "sharded cache speedup %.2fx\n",
       zipf_speedup, unique_ratio, zipf_sharded_speedup);
 
-  const std::string path = out_dir + "/BENCH_" + name + ".json";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
+  BenchReport report("bench_reuse", flags);
+  const std::string families[2] = {"reuse-zipf-" + genome_tag,
+                                   "reuse-unique-" + genome_tag};
+  for (const std::string& family : families) {
+    const bool zipf = family == families[0];
+    obs::JsonWriter& workload = report.AddWorkload(family, genome.size());
+    workload.Key("seed")
+        .Value(42)
+        .Key("query_count")
+        .Value(static_cast<uint64_t>(zipf ? query_count
+                                          : unique_reads.size()))
+        .Key("distinct_queries")
+        .Value(static_cast<uint64_t>(zipf ? zipf_distinct
+                                          : unique_reads.size()))
+        .Key("reps")
+        .Value(reps)
+        .Key("num_shards")
+        .Value(static_cast<uint64_t>(shard_options.num_shards));
+    if (zipf) workload.Key("zipf_exponent").Value(1.0);
   }
-  out << std::move(json).TakeString() << "\n";
-  if (!out.flush()) {
-    std::fprintf(stderr, "write to %s failed\n", path.c_str());
-    return 1;
+  for (const Row& row : rows) {
+    const RunOutcome& r = row.outcome;
+    report.AddRun({row.workload, read_length, row.k, row.config->name, 1},
+                  r.wall_seconds, row.queries, r.total_hits, r.stats)
+        .Key("cache_hits")
+        .Value(r.cache_stats.hits)
+        .Key("cache_misses")
+        .Value(r.cache_stats.misses)
+        .Key("cache_evictions")
+        .Value(r.cache_stats.evictions);
   }
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  return std::move(report).Write() ? 0 : 1;
 }
 
 }  // namespace

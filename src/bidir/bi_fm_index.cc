@@ -17,17 +17,6 @@ namespace bwtk {
 
 namespace {
 
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 // FNV-1a over the pair's content fingerprints; mismatched or swapped halves
 // fail loudly instead of silently desynchronizing the co-ranges.
 uint64_t PairChecksum(uint64_t text_size, uint64_t fwd_version,

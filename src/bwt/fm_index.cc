@@ -42,6 +42,11 @@ Result<FmIndex> FmIndex::BuildOver(const std::vector<DnaCode>& sequence,
     }
   }
   index.sampled_rows_.FinalizeRank();
+  // Trimmed to the samples, so MemoryUsage (which counts capacity) reads
+  // the same for a built index as for a loaded one. Reserving the count
+  // before the loop instead raised kmbench map_reads' peak RSS
+  // (EXPERIMENTS.md, "Suffix-array samples trimmed").
+  index.sa_samples_.shrink_to_fit();
 
   BWTK_RETURN_IF_ERROR(index.FinishConstruction());
   if (options.prefix_table_q > 0) {

@@ -73,7 +73,7 @@ class OccTable {
   static bool Avx2Available();
 
   /// Stable lowercase kernel name ("auto"/"scalar"/"word64"/"avx2") — the
-  /// self-description recorded in bench JSONs and SearchReport.
+  /// self-description recorded in bench reports.
   static std::string_view KernelName(RankKernel kernel);
 
   OccTable() = default;

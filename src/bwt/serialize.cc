@@ -14,17 +14,6 @@ namespace bwtk {
 namespace {
 
 template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
 void WriteVector(std::ostream& out, const std::vector<T>& values) {
   WritePod(out, static_cast<uint64_t>(values.size()));
   out.write(reinterpret_cast<const char*>(values.data()),

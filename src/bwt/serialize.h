@@ -9,7 +9,8 @@
 #define BWTK_BWT_SERIALIZE_H_
 
 #include <cstdint>
-#include <iosfwd>
+#include <istream>
+#include <ostream>
 
 #include "util/status.h"
 
@@ -30,6 +31,20 @@ struct FmIndexFormat {
   static constexpr uint32_t kVersion = 2;
   static constexpr uint32_t kMinSupportedVersion = 1;
 };
+
+/// Writes `value`'s bytes as laid out in memory: the fixed-width fields of
+/// every index stream (FM, BWTB pair, shard manifest).
+template <typename T>
+void WritePod(std::ostream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+/// Reads what WritePod wrote; false once the stream fails (truncation).
+template <typename T>
+bool ReadPod(std::istream& in, T* value) {
+  in.read(reinterpret_cast<char*>(value), sizeof(T));
+  return static_cast<bool>(in);
+}
 
 }  // namespace bwtk
 

@@ -72,7 +72,7 @@ std::string JsonEscape(std::string_view raw);
 // --- Generic JSON values -------------------------------------------------
 // A small recursive JSON reader for consumers of the telemetry documents
 // this library emits (the /varz.json exposition endpoint, bench reports,
-// the flat stat objects SearchStatsFromJson reads back):
+// the trace export):
 // dependency-free like the writer above, tolerant of any well-formed JSON,
 // and convenient for "walk down to one number" access patterns. Not a
 // validating schema tool — tools/validate_*.py own that job.

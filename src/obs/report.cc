@@ -1,14 +1,12 @@
 #include "obs/report.h"
 
-#include <utility>
-#include <vector>
+#include <string_view>
 
 namespace bwtk::obs {
 
 namespace {
 
-// Name/member table for SearchStats, shared by the serializer and the
-// parser so the two cannot drift apart.
+// Name/member table for SearchStats.
 struct StatsField {
   std::string_view name;
   uint64_t SearchStats::* member;
@@ -34,40 +32,6 @@ void AppendSearchStats(const SearchStats& stats, JsonWriter* writer) {
     writer->Key(field.name).Value(stats.*field.member);
   }
   writer->EndObject();
-}
-
-std::string SearchStatsToJson(const SearchStats& stats) {
-  JsonWriter writer;
-  AppendSearchStats(stats, &writer);
-  return std::move(writer).TakeString();
-}
-
-Result<SearchStats> SearchStatsFromJson(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed->kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("SearchStats JSON is not an object");
-  }
-  SearchStats stats;
-  for (const auto& [key, value] : parsed->members) {
-    if (!value.is_uint) {  // set only for non-negative integral numbers
-      return Status::InvalidArgument("SearchStats field \"" + key +
-                                     "\" is not an unsigned integer");
-    }
-    bool known = false;
-    for (const StatsField& field : kStatsFields) {
-      if (field.name == key) {
-        stats.*field.member = value.uint_value;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return Status::InvalidArgument("unknown SearchStats field \"" + key +
-                                     "\"");
-    }
-  }
-  return stats;
 }
 
 void AppendCounters(const MetricsBlock& block, JsonWriter* writer) {
@@ -115,26 +79,6 @@ void AppendHistograms(const MetricsBlock& block, JsonWriter* writer) {
     writer->EndArray().EndObject();
   }
   writer->EndObject();
-}
-
-void SearchReport::AppendJson(JsonWriter* writer) const {
-  writer->BeginObject().Key("stats");
-  AppendSearchStats(stats, writer);
-  writer->Key("counters");
-  AppendCounters(metrics, writer);
-  writer->Key("phases");
-  AppendPhases(metrics, writer);
-  writer->Key("histograms");
-  AppendHistograms(metrics, writer);
-  writer->Key("rank_kernel").Value(rank_kernel);
-  writer->Key("prefix_table_q").Value(prefix_table_q);
-  writer->EndObject();
-}
-
-std::string SearchReport::ToJson() const {
-  JsonWriter writer;
-  AppendJson(&writer);
-  return std::move(writer).TakeString();
 }
 
 }  // namespace bwtk::obs

@@ -1,5 +1,6 @@
 #include "search/batch_searcher.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -53,23 +54,23 @@ BatchEngine AutoPickEngine(size_t pattern_length, int32_t k,
                            bool bidir_available) {
   if (!bidir_available) return BatchEngine::kAlgorithmA;
   // Crossover calibrated from BENCH_bidir.json (bench/bench_bidir.cc),
-  // synth-1M, m in {24, 36, 50, 100} x k in {0..5}: the scheme walk wins every
-  // measured cell — 2.3x at (m=24, k=0), growing with both m and k to 3574x at
-  // (m=100, k=5), medians of five runs (EXPERIMENTS.md) — so any read at least
-  // as long as the measured floor routes to it outright. Below the measured
-  // lengths it still wins whenever the budget is large enough to multiply the
-  // enumeration frontier AND the pattern is long enough that each piece
-  // meaningfully constrains it (every piece >= 2 symbols); for the remaining
-  // short low-budget reads Algorithm A's reuse machinery is already cheap and
-  // the scheme's piece bounds have nothing to cut, so it keeps them.
-  constexpr size_t kMeasuredLengthFloor = 24;
-  if (pattern_length >= kMeasuredLengthFloor) {
-    return BatchEngine::kBidirectional;
-  }
-  if (k >= 2 && pattern_length >= 2 * static_cast<size_t>(k) + 2) {
-    return BatchEngine::kBidirectional;
-  }
-  return BatchEngine::kAlgorithmA;
+  // synth-1M, m in {6, 8, 10, 12, 16, 20, 24, 36, 50, 100} x k in {0..5}
+  // (EXPERIMENTS.md, medians of six full runs). The scheme walk wins or
+  // ties every cell from 24 bp on, and below that every cell whose scheme
+  // pieces can all hold two symbols (m >= 2k + 2); at k <= 1 that is every
+  // measured length. Algorithm A keeps the short patterns with a large
+  // budget, where the pieces shrink to single symbols and their bounds cut
+  // nothing: at m = 6 and 8, k = 5, A answered about twice as fast. No
+  // length below 6 was measured: m = 2..5 at k = 0 and m = 4..5 at k = 1
+  // reach the walk by extrapolation (both engines are exact, so only speed
+  // is at stake there). The floor is computed in 64 bits so a negative k
+  // (a decode-failed placeholder, which no engine runs) cannot wrap it.
+  constexpr int64_t kMeasuredLengthFloor = 24;
+  const int64_t floor =
+      std::min(kMeasuredLengthFloor, 2 * static_cast<int64_t>(k) + 2);
+  return static_cast<int64_t>(pattern_length) >= floor
+             ? BatchEngine::kBidirectional
+             : BatchEngine::kAlgorithmA;
 }
 
 Result<std::vector<DnaCode>> DecodeBatchPattern(BatchEngine engine,

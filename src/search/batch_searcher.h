@@ -98,7 +98,8 @@ enum class BatchEngine {
 /// "stree", "kerror", "wildcard", "bidirectional", "auto").
 std::string_view BatchEngineName(BatchEngine engine);
 
-/// The (pattern length, k) → engine table behind BatchEngine::kAuto,
+/// The (pattern length, k) → engine rule behind BatchEngine::kAuto:
+/// kBidirectional when pattern_length >= min(24, 2k + 2), else kAlgorithmA,
 /// calibrated from the committed BENCH_bidir.json head-to-head grid (see
 /// docs/BIDIRECTIONAL.md for the measured crossover). Returns kAlgorithmA
 /// whenever `bidir_available` is false.

@@ -12,24 +12,6 @@
 
 namespace bwtk::serve {
 
-namespace {
-
-bool WriteAll(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
                                                 uint16_t port,
                                                 size_t max_frame_payload) {
@@ -76,7 +58,7 @@ Client::~Client() {
 }
 
 Status Client::SendFrame(std::string_view frame) {
-  if (!WriteAll(fd_, frame)) {
+  if (!SendAll(fd_, frame)) {
     return Status::IoError("send: " + std::string(std::strerror(errno)));
   }
   return Status::OK();

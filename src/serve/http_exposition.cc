@@ -1,15 +1,11 @@
 #include "serve/http_exposition.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,21 +17,6 @@
 namespace bwtk::serve {
 
 namespace {
-
-
-bool SendAll(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
 
 std::string HttpResponse(int code, std::string_view reason,
                          std::string_view content_type,
@@ -284,31 +265,10 @@ HttpExpositionServer::~HttpExpositionServer() { Stop(); }
 Status HttpExpositionServer::Start() {
   Impl& impl = *impl_;
   BWTK_CHECK(impl.listen_fd < 0);  // Start is once-only
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError("socket: " + std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(impl.options.port);
-  if (::inet_pton(AF_INET, impl.options.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad bind address: " + impl.options.host);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, impl.options.listen_backlog) < 0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("bind/listen on " + impl.options.host + ":" +
-                           std::to_string(impl.options.port) + ": " + error);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  impl.bound_port = ntohs(bound.sin_port);
-  impl.listen_fd = fd;
+  BWTK_ASSIGN_OR_RETURN(
+      impl.listen_fd,
+      OpenListener(impl.options.host, impl.options.port,
+                   impl.options.listen_backlog, &impl.bound_port));
   impl.acceptor = std::thread([&impl] { impl.AcceptLoop(); });
   return Status::OK();
 }

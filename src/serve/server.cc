@@ -35,22 +35,6 @@ uint64_t NowNanos() {
           .count());
 }
 
-// Writes the whole buffer, looping over partial sends. MSG_NOSIGNAL turns
-// a peer hang-up into EPIPE instead of killing the process.
-bool WriteAll(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 // One client socket plus the bookkeeping for its outstanding requests.
 // Shared between the reader thread, Session worker callbacks, and the
 // timeout reaper; kept alive by shared_ptr until the last of them lets go.
@@ -86,7 +70,7 @@ struct Connection {
   void Send(std::string_view frame) {
     std::lock_guard<std::mutex> lock(write_mu);
     if (closed) return;
-    if (!WriteAll(fd, frame)) {
+    if (!SendAll(fd, frame)) {
       // Peer is gone; stop writing. The reader thread notices on its side
       // and tears the connection down.
       closed = true;
@@ -438,9 +422,8 @@ Server::Server(Session* session, const ServerOptions& options)
 
 Server::~Server() { Stop(); }
 
-Status Server::Start() {
-  Impl& impl = *impl_;
-  BWTK_CHECK(impl.listen_fd < 0);  // Start is once-only
+Result<int> OpenListener(const std::string& host, uint16_t port, int backlog,
+                         uint16_t* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IoError("socket: " + std::string(std::strerror(errno)));
@@ -449,23 +432,32 @@ Status Server::Start() {
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(impl.options.port);
-  if (::inet_pton(AF_INET, impl.options.host.c_str(), &addr.sin_addr) != 1) {
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
-    return Status::InvalidArgument("bad bind address: " + impl.options.host);
+    return Status::InvalidArgument("bad bind address: " + host);
   }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, impl.options.listen_backlog) < 0) {
+      ::listen(fd, backlog) < 0) {
     const std::string error = std::strerror(errno);
     ::close(fd);
-    return Status::IoError("bind/listen on " + impl.options.host + ":" +
-                           std::to_string(impl.options.port) + ": " + error);
+    return Status::IoError("bind/listen on " + host + ":" +
+                           std::to_string(port) + ": " + error);
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  impl.bound_port = ntohs(bound.sin_port);
-  impl.listen_fd = fd;
+  *bound_port = ntohs(bound.sin_port);
+  return fd;
+}
+
+Status Server::Start() {
+  Impl& impl = *impl_;
+  BWTK_CHECK(impl.listen_fd < 0);  // Start is once-only
+  BWTK_ASSIGN_OR_RETURN(
+      impl.listen_fd,
+      OpenListener(impl.options.host, impl.options.port,
+                   impl.options.listen_backlog, &impl.bound_port));
   impl.acceptor = std::thread([&impl] { impl.AcceptorLoop(); });
   if (impl.options.request_timeout.count() > 0) {
     impl.reaper = std::thread([&impl] { impl.ReaperLoop(); });

@@ -70,6 +70,13 @@ struct ServerOptions {
   int listen_backlog = 16;
 };
 
+/// Opens a listening TCP socket on host:port (port 0: the kernel picks one)
+/// with SO_REUSEADDR and the given listen(2) backlog, and stores the bound
+/// port in *bound_port. Returns the descriptor, which the caller closes.
+/// InvalidArgument on a bad host, IoError when socket/bind/listen fail.
+Result<int> OpenListener(const std::string& host, uint16_t port, int backlog,
+                         uint16_t* bound_port);
+
 /// The listener. Owns sockets and service threads, not the Session.
 class Server {
  public:

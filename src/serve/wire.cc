@@ -1,5 +1,8 @@
 #include "serve/wire.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstring>
 
 namespace bwtk::serve {
@@ -394,6 +397,20 @@ Result<SessionStats> ParseStatsResultPayload(std::string_view payload) {
   stats.shard_exact_shortcuts = fields[10];
   stats.accepting = fields[11] != 0;
   return stats;
+}
+
+bool SendAll(int fd, std::string_view data) {
+  size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
+                             MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace bwtk::serve

@@ -237,6 +237,11 @@ Result<QueryRequest> ParseQueryPayload(std::string_view payload);
 Result<QueryResponse> ParseResultPayload(std::string_view payload);
 Result<SessionStats> ParseStatsResultPayload(std::string_view payload);
 
+/// Writes all of `data` to the socket `fd`, looping over partial sends and
+/// EINTR. MSG_NOSIGNAL turns a peer hang-up into a false return instead of
+/// a SIGPIPE. Blocks while the socket buffer is full.
+bool SendAll(int fd, std::string_view data);
+
 }  // namespace bwtk::serve
 
 #endif  // BWTK_SERVE_WIRE_H_

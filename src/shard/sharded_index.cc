@@ -7,26 +7,13 @@
 #include <thread>
 #include <utility>
 
+#include "bwt/serialize.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace bwtk {
 
 namespace {
-
-// Same POD stream helpers as bwt/serialize.cc (kept file-local there too):
-// fixed-width little-endian-as-written fields, stream state as the error
-// signal.
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
 
 // FNV-1a over the slice table, so a bit-rotted manifest is caught before
 // any shard file is opened.

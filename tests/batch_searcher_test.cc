@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -311,19 +312,25 @@ TEST(BatchSearcherTest, AutoPickEngineRespectsAvailabilityAndBudget) {
       EXPECT_EQ(AutoPickEngine(m, k, false), BatchEngine::kAlgorithmA);
     }
   }
-  // Short exact matches stay on Algorithm A (below the measured grid, and
-  // the scheme's piece bounds have nothing to cut at k = 0).
-  EXPECT_EQ(AutoPickEngine(20, 0, true), BatchEngine::kAlgorithmA);
-  // The calibrated bidirectional regime (reads at or above the measured
-  // length floor) must route there — (m=100, k=3) is the BENCH_bidir.json
-  // win cell kAuto exists for, and the grid shows the scheme walk winning
-  // the whole measured range down to (m=24, k=0).
+  // Short patterns with a large budget stay on Algorithm A: at (m=8, k=5)
+  // the scheme's pieces are one or two symbols, and A answered about twice
+  // as fast in BENCH_bidir.json.
+  EXPECT_EQ(AutoPickEngine(8, 5, true), BatchEngine::kAlgorithmA);
+  EXPECT_EQ(AutoPickEngine(6, 5, true), BatchEngine::kAlgorithmA);
+  // The calibrated bidirectional regime must route there — (m=100, k=3) is
+  // the BENCH_bidir.json win cell kAuto exists for, the walk wins the whole
+  // grid from 24 bp on, and below that at k <= 1 (20-bp patterns at k = 0
+  // and 1) and wherever m >= 2k + 2.
   EXPECT_EQ(AutoPickEngine(100, 3, true), BatchEngine::kBidirectional);
   EXPECT_EQ(AutoPickEngine(24, 0, true), BatchEngine::kBidirectional);
+  EXPECT_EQ(AutoPickEngine(20, 0, true), BatchEngine::kBidirectional);
+  EXPECT_EQ(AutoPickEngine(20, 1, true), BatchEngine::kBidirectional);
+  EXPECT_EQ(AutoPickEngine(12, 5, true), BatchEngine::kBidirectional);
   // Whatever the thresholds, the resolved engine is one of the two Hamming
-  // engines (never kAuto itself).
+  // engines (never kAuto itself), negative placeholder budgets included.
   for (const size_t m : {1, 10, 24, 50, 100, 500}) {
-    for (int32_t k = 0; k <= 8; ++k) {
+    for (const int32_t k : {std::numeric_limits<int32_t>::min(), -1, 0, 1, 2,
+                            3, 4, 5, 6, 7, 8}) {
       const BatchEngine pick = AutoPickEngine(m, k, true);
       EXPECT_TRUE(pick == BatchEngine::kAlgorithmA ||
                   pick == BatchEngine::kBidirectional);

@@ -205,7 +205,8 @@ TEST_F(WindowedAggregatorTest, WindowQuantilesAreMonotone) {
 
 TEST(ParseJsonTest, ScalarsAndContainers) {
   auto doc = ParseJson(R"({"a": 1, "b": -2.5, "c": "x\ny", "d": [true, null],
-                           "e": {"nested": 18446744073709551615}})");
+                           "e": {"nested": 18446744073709551615},
+                           "f": 99999999999999999999999, "g": -1})");
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->Get("a")->AsUint(), 1u);
   EXPECT_TRUE(doc->Get("a")->is_uint);
@@ -217,6 +218,11 @@ TEST(ParseJsonTest, ScalarsAndContainers) {
   EXPECT_EQ(doc->Get("d")->array[1].kind, JsonValue::Kind::kNull);
   // Max uint64 round-trips exactly through the is_uint side channel.
   EXPECT_EQ(doc->Get("e", "nested")->AsUint(), ~uint64_t{0});
+  // An integer past uint64 and a negative integer are numbers, never uints.
+  EXPECT_FALSE(doc->Get("f")->is_uint);
+  EXPECT_DOUBLE_EQ(doc->Get("f")->AsNumber(), 1e23);
+  EXPECT_FALSE(doc->Get("g")->is_uint);
+  EXPECT_DOUBLE_EQ(doc->Get("g")->AsNumber(), -1.0);
   // Missing paths are nullptr at any depth.
   EXPECT_EQ(doc->Get("e", "missing"), nullptr);
   EXPECT_EQ(doc->Get("missing", "nested"), nullptr);

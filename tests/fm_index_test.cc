@@ -164,6 +164,20 @@ TEST(FmIndexTest, SerializationRoundTrip) {
   }
 }
 
+TEST(FmIndexTest, BuiltAndLoadedIndexesReportEqualMemory) {
+  // 2^14 / 8 + 1 = 2049 samples, one past a power of two: a sample vector
+  // grown one push at a time would hold 4096 slots, and MemoryUsage counts
+  // the vector's capacity.
+  Rng rng(67);
+  const auto index =
+      FmIndex::Build(RandomDna(size_t{1} << 14, &rng), {.sa_sample_rate = 8})
+          .value();
+  std::stringstream buffer;
+  ASSERT_TRUE(index.Save(buffer).ok());
+  const auto loaded = FmIndex::Load(buffer).value();
+  EXPECT_EQ(index.MemoryUsage(), loaded.MemoryUsage());
+}
+
 TEST(FmIndexTest, LoadRejectsGarbage) {
   std::stringstream buffer("this is not an index file at all");
   EXPECT_EQ(FmIndex::Load(buffer).status().code(), StatusCode::kCorruption);

@@ -1,6 +1,7 @@
-// Tests for the observability subsystem: SearchStats merge algebra and JSON
-// round-trip, histogram bucketing, the metrics registry (counters, phase
-// timers, cross-thread aggregation), and the JSON writer/parser pair.
+// Tests for the observability subsystem: SearchStats merge algebra,
+// histogram bucketing, the metrics registry (counters, phase timers,
+// cross-thread aggregation), the JSON writer, and the report helpers that
+// write stats and registry deltas as JSON.
 // The sibling TU metrics_disabled_test.cc (compiled into this binary with
 // BWTK_DISABLE_METRICS) verifies the hooks compile to no-ops.
 
@@ -56,26 +57,6 @@ TEST(SearchStatsTest, MergeIsAssociativeAndCommutative) {
   EXPECT_EQ(Sum(a, b), Sum(b, a));
   // Identity: the default-constructed stats are the neutral element.
   EXPECT_EQ(Sum(a, SearchStats{}), a);
-}
-
-TEST(SearchStatsTest, JsonRoundTrip) {
-  const SearchStats stats = MakeStats(41);
-  const std::string json = obs::SearchStatsToJson(stats);
-  const auto parsed = obs::SearchStatsFromJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(*parsed, stats);
-}
-
-TEST(SearchStatsTest, JsonMissingFieldsDefaultToZero) {
-  const auto parsed = obs::SearchStatsFromJson("{\"mtree_leaves\": 7}");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->mtree_leaves, 7u);
-  EXPECT_EQ(parsed->stree_nodes, 0u);
-  EXPECT_TRUE(obs::SearchStatsFromJson("{}").ok());
-}
-
-TEST(SearchStatsTest, JsonUnknownFieldFails) {
-  EXPECT_FALSE(obs::SearchStatsFromJson("{\"not_a_field\": 1}").ok());
 }
 
 TEST(HistogramTest, BucketBoundaries) {
@@ -144,27 +125,6 @@ TEST(JsonWriterTest, EscapesStrings) {
   JsonWriter w;
   w.Value("quote\" back\\ newline\n ctrl\x01");
   EXPECT_EQ(w.str(), "\"quote\\\" back\\\\ newline\\n ctrl\\u0001\"");
-}
-
-TEST(JsonParserTest, ParsesFlatObject) {
-  const auto parsed = obs::SearchStatsFromJson(
-      " { \"stree_nodes\" : 12 , \"extend_calls\" : 0 } ");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->stree_nodes, 12u);
-  EXPECT_EQ(parsed->extend_calls, 0u);
-}
-
-TEST(JsonParserTest, RejectsMalformedInput) {
-  // Each input is malformed in itself, not merely unknown: the one key is
-  // a real SearchStats field.
-  for (const char* bad :
-       {"", "{", "{\"stree_nodes\"}", "{\"stree_nodes\": -1}",
-        "{\"stree_nodes\": 1.5}", "{\"stree_nodes\": \"s\"}",
-        "{\"stree_nodes\": {}}", "{\"stree_nodes\": 1} trailing", "[1]",
-        "{\"stree_nodes\": 99999999999999999999999}", "12", "null",
-        "{\"stree_nodes\": true}", "{\"stree_nodes\": [1]}"}) {
-    EXPECT_FALSE(obs::SearchStatsFromJson(bad).ok()) << bad;
-  }
 }
 
 TEST(MetricsRegistryTest, CountersTimersAndHistogramsReachSnapshot) {
@@ -240,28 +200,32 @@ TEST(MetricsIntegrationTest, BatchSearchRecordsWorkerPhases) {
   EXPECT_GT(delta.phase_calls[obs::kPhaseWorkerSearch], 0u);
 }
 
-TEST(SearchReportTest, JsonContainsAllSections) {
-  obs::SearchReport report;
-  report.stats = MakeStats(0);
-  report.metrics.counters[obs::kCounterRankCalls] = 3;
-  report.metrics.phase_nanos[obs::kPhaseMerge] = 17;
-  report.metrics.phase_calls[obs::kPhaseMerge] = 2;
-  report.metrics.hists[obs::kHistQueryNanos].Observe(1000);
-  const std::string json = report.ToJson();
+TEST(ReportJsonTest, AppendHelpersWriteEverySection) {
+  MetricsBlock metrics;
+  metrics.counters[obs::kCounterRankCalls] = 3;
+  metrics.phase_nanos[obs::kPhaseMerge] = 17;
+  metrics.phase_calls[obs::kPhaseMerge] = 2;
+  metrics.hists[obs::kHistQueryNanos].Observe(1000);
+  JsonWriter w;
+  w.BeginObject().Key("stats");
+  obs::AppendSearchStats(MakeStats(0), &w);
+  w.Key("counters");
+  obs::AppendCounters(metrics, &w);
+  w.Key("phases");
+  obs::AppendPhases(metrics, &w);
+  w.Key("histograms");
+  obs::AppendHistograms(metrics, &w);
+  w.EndObject();
+  const std::string json = std::move(w).TakeString();
   for (const char* needle :
-       {"\"stats\":", "\"counters\":", "\"phases\":", "\"histograms\":",
-        "\"rank_calls\":3", "\"merge\":{\"nanos\":17,\"calls\":2}",
+       {"\"stats\":{\"stree_nodes\":1,\"extend_calls\":2,",
+        "\"derived_runs\":9}", "\"rank_calls\":3",
+        "\"merge\":{\"nanos\":17,\"calls\":2}",
         "\"query_nanos\":{\"count\":1,\"sum\":1000,\"buckets\":[[10,1]]}"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "missing " << needle << " in " << json;
   }
-  // The stats section must itself round-trip.
-  const size_t start = json.find("\"stats\":") + 8;
-  const size_t end = json.find('}', start) + 1;
-  const auto parsed =
-      obs::SearchStatsFromJson(json.substr(start, end - start));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, report.stats);
+  EXPECT_TRUE(obs::ParseJson(json).ok()) << json;
 }
 
 TEST(MetricsCatalogTest, NamesAreUniqueAndNonEmpty) {

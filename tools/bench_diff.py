@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Compare two bench_report JSON files and gate on regressions.
+"""Compare two bench reports (BENCH_*.json) and gate on regressions.
 
 Usage:
     tools/bench_diff.py BASELINE.json NEW.json [--threshold PCT]
                         [--genome-thresholds JSON|@FILE]
                         [--gate-wall] [--wall-threshold PCT]
 
-Runs are matched by (genome, k, engine, threads). For each matched pair
-the tool prints a delta table and applies two kinds of gates:
+Runs are matched by their key (workload, read_length, k, engine, threads),
+the run key of the bench report schema (docs/OBSERVABILITY.md). For each
+matched pair the tool prints a delta table and applies two kinds of gates:
 
 Correctness (always fatal): 'total_hits' and 'stats.completed_paths'
 must be byte-identical between baseline and new. The workloads are
@@ -21,12 +22,12 @@ the threshold. These are machine-independent (a fixed workload expands a
 fixed tree), which makes them the right CI gate: a committed baseline
 from one machine is comparable with a fresh run on another. Decreases
 are improvements and never gated. --genome-thresholds overrides the
-global threshold per genome — either an inline JSON object or @FILE
-pointing at one, mapping genome name to max % increase, e.g.
-'{"uniform_1m": 5, "repetitive_1m": 25}'. Repetitive genomes expand
-deeper mismatch trees, so small code changes move their counters more;
-the map lets CI pin tight gates on stable genomes without flaking on
-volatile ones. Genomes absent from the map use --threshold.
+global threshold per workload (each names a genome) — either an inline
+JSON object or @FILE pointing at one, mapping workload name to max %
+increase, e.g. '{"uniform_1m": 5, "repetitive_1m": 25}'. Repetitive
+genomes expand deeper mismatch trees, so small code changes move their
+counters more; the map lets CI pin tight gates on stable genomes without
+flaking on volatile ones. Workloads absent from the map use --threshold.
 
 Wall time (informational by default): reads_per_second deltas are
 printed but only gated with --gate-wall (threshold --wall-threshold,
@@ -64,7 +65,8 @@ EXACT_FIELDS = (
 
 def run_key(run):
     return (
-        run.get("genome"),
+        run.get("workload"),
+        run.get("read_length"),
         run.get("k"),
         run.get("engine"),
         run.get("threads"),
@@ -72,8 +74,8 @@ def run_key(run):
 
 
 def key_str(key):
-    genome, k, engine, threads = key
-    return f"{genome}/k={k}/{engine}/t={threads}"
+    workload, read_length, k, engine, threads = key
+    return f"{workload}/m={read_length}/k={k}/{engine}/t={threads}"
 
 
 def load_runs(path):
@@ -81,7 +83,7 @@ def load_runs(path):
         doc = json.load(f)
     runs = doc.get("runs")
     if not isinstance(runs, list):
-        raise ValueError(f"{path}: no 'runs' array (not a bench_report file?)")
+        raise ValueError(f"{path}: no 'runs' array (not a bench report?)")
     indexed = {}
     for run in runs:
         if not isinstance(run, dict):
@@ -94,7 +96,7 @@ def load_runs(path):
 
 
 def parse_genome_thresholds(spec):
-    """'{"g": 5}' or '@path/to.json' -> dict of genome name -> float pct."""
+    """'{"w": 5}' or '@path/to.json' -> dict of workload name -> float pct."""
     if spec is None:
         return {}
     if spec.startswith("@"):
@@ -141,9 +143,9 @@ def main(argv):
         "--genome-thresholds",
         default=None,
         metavar="JSON|@FILE",
-        help="per-genome work-counter thresholds as a JSON object "
-        "(genome name -> max %% increase) or @FILE containing one; "
-        "genomes not in the map fall back to --threshold",
+        help="per-workload work-counter thresholds as a JSON object "
+        "(workload name -> max %% increase) or @FILE containing one; "
+        "workloads not in the map fall back to --threshold",
     )
     parser.add_argument(
         "--gate-wall",
@@ -181,7 +183,7 @@ def main(argv):
             f"{genome}=+{pct:g}%"
             for genome, pct in sorted(genome_thresholds.items())
         )
-        print(f"per-genome overrides: {overrides}")
+        print(f"per-workload overrides: {overrides}")
     print()
 
     failures = []
@@ -206,7 +208,7 @@ def main(argv):
         for metric, get in EXACT_FIELDS:
             b, n = get(base), get(new)
             if b is None or n is None:
-                continue  # older schema without the field: nothing to gate
+                continue  # a bench without the field: nothing to gate
             verdict = "ok" if b == n else "FAIL"
             if b != n:
                 failures.append(
