@@ -67,6 +67,22 @@ class PackedSequence {
   /// ASCII (lowercase) rendering, mainly for tests and small outputs.
   std::string ToString() const;
 
+  /// Hints the cache that bases [pos, pos + len) are read next: prefetches
+  /// every cache line of the words that hold them. Requires len >= 1 and
+  /// pos + len <= size(). Force-inlined: gcc deletes the calls to an
+  /// out-of-line copy of a body that only prefetches (see
+  /// OccTable::Prefetch).
+  [[gnu::always_inline]] void Prefetch(size_t pos, size_t len) const {
+    constexpr uintptr_t kLine = 64;
+    uintptr_t line =
+        reinterpret_cast<uintptr_t>(words_.data() + (pos >> 5)) & ~(kLine - 1);
+    const uintptr_t last =
+        reinterpret_cast<uintptr_t>(words_.data() + ((pos + len - 1) >> 5));
+    for (; line <= last; line += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
+
   /// Underlying words; 32 bases per word, base i in bits [2(i%32), 2(i%32)+1]
   /// of word i/32. Exposed for the rank structure.
   const std::vector<uint64_t>& words() const { return words_; }

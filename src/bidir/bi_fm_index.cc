@@ -38,6 +38,13 @@ std::vector<DnaCode> TextOf(const FmIndex& forward) {
   return text;
 }
 
+// The reverse half's options: no suffix-array samples, because the scheme
+// walks locate on the forward half only.
+FmIndex::Options ReverseHalfOptions(FmIndex::Options options) {
+  options.sa_sample_rate = 0;
+  return options;
+}
+
 // A q-gram occurs as often read left to right as read right to left, so the
 // forward table's range for a key and the reverse table's range for the
 // digit-reversed key have the same width.
@@ -98,9 +105,9 @@ Result<BiFmIndex> BiFmIndex::Build(const std::vector<DnaCode>& text,
   // The reverse half indexes `text` as given (its BWT is that of text$) on a
   // second thread while this one builds the forward half. The future joins
   // that thread on every path out, and get() rethrows what it threw.
-  std::future<Result<FmIndex>> rev_build =
-      std::async(std::launch::async,
-                 [&] { return FmIndex::BuildOver(text, options); });
+  std::future<Result<FmIndex>> rev_build = std::async(
+      std::launch::async,
+      [&] { return FmIndex::BuildOver(text, ReverseHalfOptions(options)); });
   Result<FmIndex> fwd = FmIndex::Build(text, options);
   Result<FmIndex> rev = rev_build.get();
   if (!fwd.ok()) return fwd.status();
@@ -114,7 +121,7 @@ Result<BiFmIndex> BiFmIndex::Build(const std::vector<DnaCode>& text,
 }
 
 Result<BiFmIndex> BiFmIndex::FromForward(FmIndex forward) {
-  Options options = forward.options();
+  Options options = ReverseHalfOptions(forward.options());
   options.prefix_table_q = 0;
   PackedSequence packed;
   Result<FmIndex> rev = [&] {
@@ -169,7 +176,7 @@ Result<BiFmIndex> BiFmIndex::Load(std::istream& in) {
     return Status::Corruption("truncated bidirectional index file");
   }
   BWTK_ASSIGN_OR_RETURN(FmIndex fwd, FmIndex::Load(in));
-  BWTK_ASSIGN_OR_RETURN(FmIndex rev, FmIndex::Load(in));
+  BWTK_ASSIGN_OR_RETURN(FmIndex rev, FmIndex::LoadReverseHalf(in));
   uint64_t checksum = 0;
   if (!ReadPod(in, &checksum)) {
     return Status::Corruption("truncated bidirectional index file");
@@ -181,6 +188,8 @@ Result<BiFmIndex> BiFmIndex::Load(std::istream& in) {
       PairChecksum(text_size, FmIndexVersion(fwd), FmIndexVersion(rev))) {
     return Status::Corruption("bidirectional index checksum mismatch");
   }
+  // A version-1 stream's reverse half carries samples that nothing reads.
+  rev.DropSamples();
   // The stream holds no text: it is rebuilt from the checksummed forward
   // half, as FromForward does, so it cannot disagree with the halves.
   PackedSequence text(TextOf(fwd));

@@ -57,20 +57,25 @@ namespace bwtk {
 ///       FNV-1a checksum over the pair's content fingerprints.
 ///       The text is not stored: Load rebuilds it by inverting the forward
 ///       half's BWT, as FromForward does.
+///   2 — the reverse half keeps no suffix-array samples (SA sample rate 0,
+///       empty sample sections). Load still reads a version-1 stream and
+///       drops its reverse half's samples once the checksum has passed.
 /// Monolithic FmIndex files (magic "BWTK") are *not* loadable here — they
 /// lack the reverse half — but remain loadable by FmIndex::Load for the
 /// forward-only engines; Load reports the distinction explicitly.
 struct BiFmIndexFormat {
   static constexpr uint32_t kMagic = 0x42575442;  // "BWTB"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
   static constexpr uint32_t kMinSupportedVersion = 1;
 };
 
 class BiFmIndex {
  public:
-  /// Both halves are built with the same checkpoint rate, SA sample rate and
-  /// rank kernel. `prefix_table_q` must stay 0: the index picks the q of its
-  /// seed tables itself (SeedTableQ).
+  /// Both halves are built with the same checkpoint rate and rank kernel.
+  /// Only the forward half keeps suffix-array samples, at `sa_sample_rate`:
+  /// the scheme walks locate on it alone, and a locate call on the reverse
+  /// half fails a CHECK. `prefix_table_q` must stay 0: the index picks the q
+  /// of its seed tables itself (SeedTableQ).
   using Options = FmIndex::Options;
 
   /// A synchronized pair of row intervals, one per half, representing the
@@ -97,7 +102,7 @@ class BiFmIndex {
   /// Upgrade path from an existing forward index (e.g. a monolithic index
   /// file on disk): reconstructs the indexed text by inverting the BWT,
   /// keeps it packed and builds the reverse half from it with the forward
-  /// half's options. A forward table at another q than SeedTableQ is
+  /// half's options, less the samples. A forward table at another q than SeedTableQ is
   /// replaced; one at SeedTableQ is kept once it agrees with the new
   /// reverse table (else Corruption).
   static Result<BiFmIndex> FromForward(FmIndex forward);

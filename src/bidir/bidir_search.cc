@@ -72,10 +72,11 @@ constexpr double kVerifyRandomMatches = 1.0 / 16;
 
 struct BidirWalkSet::Walk {
   enum class Phase : uint8_t {
-    kFree,    // no walk in the slot
-    kBegin,   // started; the first turn picks the scheme
-    kSeed,    // seed entries prefetched; the next turn looks them up
-    kFrames,  // popping frames off the stack
+    kFree,     // no walk in the slot
+    kBegin,    // started; the first turn picks the scheme
+    kSeed,     // seed entries prefetched; the next turn looks them up
+    kFrames,   // popping frames off the stack
+    kResolve,  // finishing a frame in the text, one locate step per turn
   };
   Phase phase = Phase::kFree;
 
@@ -105,6 +106,29 @@ struct BidirWalkSet::Walk {
   uint64_t left_extends = 0;
   uint64_t right_extends = 0;
   uint64_t verified_rows = 0;
+  uint64_t lf_steps = 0;
+
+  // Phase::kResolve: the frame being finished in the text, resolved a group
+  // of at most kVerifyMaxRows rows at a time in row order (only a complete
+  // frame can hold more rows than that). Each row of the group walks to its
+  // text position: LF steps until a sampled row, then that row's sample.
+  enum class RowState : uint8_t {
+    kRow,       // `at` is a forward row: its next step LF-maps it or finds
+                // it sampled
+    kSample,    // `at` is the index of the row's sample
+    kPosition,  // `at` is the text position of the row's window
+  };
+  struct Row {
+    size_t at = 0;
+    uint32_t lf_steps = 0;
+    RowState state = RowState::kRow;
+  };
+  Frame resolving;
+  uint32_t window_begin = 0;  // pattern position of the window's first symbol
+  SaIndex next_row = 0;       // the first row of `resolving` not yet grouped
+  uint32_t group_rows = 0;
+  uint32_t unresolved = 0;    // rows of the group not yet at kPosition
+  Row rows[kVerifyMaxRows];
 
   // Clock readings: query_nanos runs from the first turn to the last
   // (metrics builds); a traced walk also sums its own turns.
@@ -122,54 +146,145 @@ struct BidirWalkSet::Walk {
             frame.step >= verify_from[frame.mismatches]);
   }
 
-  // Prefetches the rank blocks the walk's next frame extends. Force-inlined
-  // for the reason given at OccTable::Prefetch: gcc deleted every call to
-  // an out-of-line copy.
+  // Prefetches what the walk's next frame reads first: the rank blocks it
+  // extends, or the first locate step of the rows it finishes in the text.
+  // Force-inlined for the reason given at OccTable::Prefetch: gcc deleted
+  // every call to an out-of-line copy.
   [[gnu::always_inline]] void PrefetchNext() const {
     const Frame& next = stack.back();
-    if (!FinishesInText(next)) {
+    if (FinishesInText(next)) {
+      const SaIndex lo = next.range.fwd.lo;
+      PrefetchFirstSteps(lo, lo + std::min(next.range.count(),
+                                           kVerifyMaxRows) - 1);
+    } else {
       index->PrefetchExtend(next.range, steps[next.step].right);
     }
   }
 
-  void FinishInText(const Frame& frame);
+  // Prefetches the first locate step of the rows first..last, at most
+  // kVerifyMaxRows apart: the lines of the rows between lie between the
+  // lines of these two.
+  [[gnu::always_inline]] void PrefetchFirstSteps(SaIndex first,
+                                                 SaIndex last) const {
+    index->forward().PrefetchLocateStep(static_cast<size_t>(first));
+    index->forward().PrefetchLocateStep(static_cast<size_t>(last));
+  }
+
+  // Where a row whose window sits at text position `window_pos` would hold
+  // the whole pattern; false when that occurrence would leave the text.
+  bool PatternStart(size_t window_pos, size_t* start) const {
+    if (window_pos < window_begin ||
+        window_pos - window_begin > index->text_size() - m) {
+      return false;
+    }
+    *start = window_pos - window_begin;
+    return true;
+  }
+
+  void BeginResolve(const Frame& frame);
+  void StartGroup();
+  // Kept out of line, so that CI can count the prefetch instructions of
+  // StepRows<true> by name.
+  template <bool kPrefetch>
+  [[gnu::noinline]] void StepRows();
+  void FinishRows();
 };
 
-// Resolves each row of `frame` to the text position of its window. A
-// complete frame's rows are hits. Otherwise each row's occurrence is read
-// on in the text, step by step under the bounds the extension would apply;
-// rows that pass are hits, and one completed path is counted per distinct
-// string they match, as the extension would count its complete frames.
-void BidirWalkSet::Walk::FinishInText(const Frame& frame) {
-  const FmIndex& fwd = index->forward();
-  const PackedSequence& text = index->text();
-  const size_t n = index->text_size();
+// Starts Phase::kResolve on `frame`: a complete frame counts its path, and
+// the first group of rows is set up.
+void BidirWalkSet::Walk::BeginResolve(const Frame& frame) {
+  resolving = frame;
   const uint32_t done = frame.step;
   if (done == m) ++stats.completed_paths;
   // The pattern position of the window's first symbol: the next step grows
   // the window by one on the right or on the left.
-  uint32_t window_begin = 0;
+  window_begin = 0;
   if (done < m) {
     const Step& next = steps[done];
     window_begin = next.right ? next.pos - done : next.pos + 1;
   }
+  next_row = frame.range.fwd.lo;
+  StartGroup();
+  phase = Phase::kResolve;
+}
+
+// Takes the next group of rows of the frame being resolved.
+void BidirWalkSet::Walk::StartGroup() {
+  group_rows = static_cast<uint32_t>(
+      std::min(resolving.range.fwd.hi - next_row, kVerifyMaxRows));
+  for (uint32_t i = 0; i < group_rows; ++i) {
+    rows[i] = {static_cast<size_t>(next_row) + i, 0, RowState::kRow};
+  }
+  next_row += static_cast<SaIndex>(group_rows);
+  unresolved = group_rows;
+}
+
+// Moves every unresolved row of the group by one locate step: an LF step,
+// the lookup of a sampled row's sample index, or the read of that sample.
+// With kPrefetch it then prefetches what each row reads next: its next
+// step, its sample, or the text its comparison reads.
+template <bool kPrefetch>
+void BidirWalkSet::Walk::StepRows() {
+  const FmIndex& fwd = index->forward();
+  for (uint32_t i = 0; i < group_rows; ++i) {
+    Row& row = rows[i];
+    switch (row.state) {
+      case RowState::kRow:
+        if (fwd.LocateStep(&row.at)) {
+          row.state = RowState::kSample;
+          if constexpr (kPrefetch) fwd.PrefetchSample(row.at);
+        } else {
+          ++row.lf_steps;
+          ++lf_steps;
+          if constexpr (kPrefetch) fwd.PrefetchLocateStep(row.at);
+        }
+        break;
+      case RowState::kSample: {
+        // The forward half indexes reverse(text), so its suffix-array value
+        // p puts the window at text[n - done - p, n - done - p + done).
+        row.at = index->text_size() - resolving.step -
+                 (fwd.Sample(row.at) + row.lf_steps);
+        row.state = RowState::kPosition;
+        --unresolved;
+        if constexpr (kPrefetch) {
+          size_t start = 0;
+          if (resolving.step < m && PatternStart(row.at, &start)) {
+            index->text().Prefetch(start, m);
+          }
+        }
+        break;
+      }
+      case RowState::kPosition:
+        break;
+    }
+  }
+}
+
+// The group's last turn, once every row is at its text position. A complete
+// frame's rows are hits. Otherwise each row's occurrence is read on in the
+// text, step by step under the bounds the extension would apply; rows that
+// pass are hits, and one completed path is counted per distinct string
+// they match, as the extension would count its complete frames. Rows are
+// taken in row order, so hits and counters come out as they would from
+// resolving the rows one after another.
+void BidirWalkSet::Walk::FinishRows() {
+  const PackedSequence& text = index->text();
+  const uint32_t done = resolving.step;
   size_t matched[kVerifyMaxRows];
   size_t num_matched = 0;
-  for (SaIndex row = frame.range.fwd.lo; row < frame.range.fwd.hi; ++row) {
-    // The forward half indexes reverse(text), so its suffix-array value p
-    // puts the window at text[n - done - p, n - done - p + done).
-    const size_t window_pos = n - done - fwd.SuffixArrayValue(row);
+  for (uint32_t i = 0; i < group_rows; ++i) {
+    const size_t window_pos = rows[i].at;
     if (done == m) {
-      hits.push_back({window_pos, frame.mismatches});
+      hits.push_back({window_pos, resolving.mismatches});
       continue;
     }
     ++verified_rows;
-    if (window_pos < window_begin || window_pos - window_begin > n - m) {
+    size_t start = 0;
+    if (!PatternStart(window_pos, &start)) {
       ++stats.budget_pruned;  // the occurrence would leave the text
       continue;
     }
-    const size_t start = window_pos - window_begin;
-    int32_t mismatches = frame.mismatches;
+    int32_t mismatches = resolving.mismatches;
     uint32_t at = done;
     for (; at < m; ++at) {
       const Step& step = steps[at];
@@ -185,10 +300,10 @@ void BidirWalkSet::Walk::FinishInText(const Frame& frame) {
     }
     if (at < m) continue;
     bool repeat = false;
-    for (size_t i = 0; i < num_matched && !repeat; ++i) {
+    for (size_t j = 0; j < num_matched && !repeat; ++j) {
       repeat = true;
       for (uint32_t pos = 0; pos < m && repeat; ++pos) {
-        repeat = text.at(matched[i] + pos) == text.at(start + pos);
+        repeat = text.at(matched[j] + pos) == text.at(start + pos);
       }
     }
     if (!repeat) ++stats.completed_paths;
@@ -232,6 +347,7 @@ void BidirWalkSet::Start(size_t slot, const BidirectionalSearch& engine,
   w.left_extends = 0;
   w.right_extends = 0;
   w.verified_rows = 0;
+  w.lf_steps = 0;
   w.first_turn_ns = 0;
   w.own_ns = 0;
   ++in_flight_;
@@ -294,9 +410,11 @@ bool BidirWalkSet::Turn(Walk& w) {
   switch (w.phase) {
     case Walk::Phase::kFrames:
       break;
+    case Walk::Phase::kResolve:
+      return Resolve<kPrefetchNext>(w);
     case Walk::Phase::kBegin:
       if (BWTK_METRICS_ENABLED) w.begin_ns = obs::TraceClockNanos();
-      // No pattern longer than the text occurs in it, and FinishInText's
+      // No pattern longer than the text occurs in it, and PatternStart's
       // position arithmetic relies on m <= n, so every walk, whole query
       // or one search, stops here.
       if (w.m == 0 || w.m > w.index->text_size()) return true;
@@ -327,38 +445,65 @@ bool BidirWalkSet::Turn(Walk& w) {
   const Frame frame = w.stack.back();
   w.stack.pop_back();
   if (w.FinishesInText(frame)) {
-    w.FinishInText(frame);
+    // The previous turn prefetched the first step of the frame's rows.
+    w.BeginResolve(frame);
+    w.StepRows<kPrefetchNext>();
+    return false;
+  }
+  const Step& step = w.steps[frame.step];
+  BiFmIndex::BiRange children[kDnaAlphabetSize];
+  if (step.right) {
+    w.index->ExtendRightAll(frame.range, children);
+    ++w.right_extends;
   } else {
-    const Step& step = w.steps[frame.step];
-    BiFmIndex::BiRange children[kDnaAlphabetSize];
-    if (step.right) {
-      w.index->ExtendRightAll(frame.range, children);
-      ++w.right_extends;
-    } else {
-      w.index->ExtendLeftAll(frame.range, children);
-      ++w.left_extends;
+    w.index->ExtendLeftAll(frame.range, children);
+    ++w.left_extends;
+  }
+  w.stats.extend_calls += kDnaAlphabetSize;
+  const DnaCode expected = w.pattern[step.pos];
+  for (DnaCode c = 0; c < kDnaAlphabetSize; ++c) {
+    const BiFmIndex::BiRange& next = children[c];
+    if (next.empty()) continue;
+    ++w.stats.stree_nodes;
+    BWTK_TRACE_NODE(w.trace, frame.step + 1);
+    const int32_t mismatches = frame.mismatches + (c != expected ? 1 : 0);
+    if (mismatches > step.upper) {
+      ++w.stats.budget_pruned;
+      continue;
     }
-    w.stats.extend_calls += kDnaAlphabetSize;
-    const DnaCode expected = w.pattern[step.pos];
-    for (DnaCode c = 0; c < kDnaAlphabetSize; ++c) {
-      const BiFmIndex::BiRange& next = children[c];
-      if (next.empty()) continue;
-      ++w.stats.stree_nodes;
-      BWTK_TRACE_NODE(w.trace, frame.step + 1);
-      const int32_t mismatches = frame.mismatches + (c != expected ? 1 : 0);
-      if (mismatches > step.upper) {
-        ++w.stats.budget_pruned;
-        continue;
-      }
-      if (mismatches < step.lower) {
-        ++w.stats.tau_pruned;
-        continue;
-      }
-      w.stack.push_back({next, frame.step + 1, mismatches});
+    if (mismatches < step.lower) {
+      ++w.stats.tau_pruned;
+      continue;
     }
+    w.stack.push_back({next, frame.step + 1, mismatches});
   }
   if (w.stack.empty()) return EndSearch(w);
   if constexpr (kPrefetchNext) w.PrefetchNext();
+  return false;
+}
+
+// A turn of Phase::kResolve: steps the group's unresolved rows, or, once
+// all are resolved, finishes them and moves on to the next group or back
+// to the stack. A walk pops no frame while it resolves, so it visits its
+// frames in the order a lone search would.
+template <bool kPrefetch>
+bool BidirWalkSet::Resolve(Walk& w) {
+  if (w.unresolved > 0) {
+    w.StepRows<kPrefetch>();
+    return false;
+  }
+  w.FinishRows();
+  if (w.next_row < w.resolving.range.fwd.hi) {
+    w.StartGroup();
+    if constexpr (kPrefetch) {
+      w.PrefetchFirstSteps(static_cast<SaIndex>(w.rows[0].at),
+                           static_cast<SaIndex>(w.rows[w.group_rows - 1].at));
+    }
+    return false;
+  }
+  w.phase = Walk::Phase::kFrames;
+  if (w.stack.empty()) return EndSearch(w);
+  if constexpr (kPrefetch) w.PrefetchNext();
   return false;
 }
 
@@ -452,7 +597,9 @@ void BidirWalkSet::Finish(Walk& w) {
   }
   BWTK_METRIC_COUNT2(kCounterBidirLeftExtends, w.left_extends,
                      kCounterBidirRightExtends, w.right_extends);
-  BWTK_METRIC_COUNT_N(kCounterBidirVerifiedRows, w.verified_rows);
+  BWTK_METRIC_COUNT2(kCounterBidirVerifiedRows, w.verified_rows,
+                     kCounterLfSteps, w.lf_steps);
+  BWTK_METRIC_COUNT_N(kCounterRankCalls, w.lf_steps);
   if (!w.whole_query) return;
   if (w.scheme != nullptr) {
     NormalizeOccurrences(&w.hits);

@@ -132,7 +132,12 @@ class BidirectionalSearch {
 /// variant, the next looks them up.
 ///
 /// A frame that is complete, or narrow and long enough (see
-/// BidirectionalSearch), is finished in the text in one turn.
+/// BidirectionalSearch), is finished in the text over several turns: each
+/// turn moves every row of the frame (at most 4 at a time) by one locate
+/// step and prefetches what the row's next step reads, so that the other
+/// walks' turns hide the misses of its walk to a suffix-array sample. The
+/// rows are then compared against the text in row order, and the walk pops
+/// no other frame meanwhile.
 ///
 /// Each walk visits its frames in the order a lone search would, so its
 /// hits and every SearchStats counter are the same however many walks are
@@ -202,6 +207,8 @@ class BidirWalkSet {
 
   template <bool kPrefetchNext>
   bool Turn(Walk& w);
+  template <bool kPrefetch>
+  bool Resolve(Walk& w);
   void BeginSearch(Walk& w);
   void SeedFrames(Walk& w);
   bool EndSearch(Walk& w);

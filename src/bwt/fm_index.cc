@@ -10,6 +10,9 @@ namespace bwtk {
 
 Result<FmIndex> FmIndex::Build(const std::vector<DnaCode>& text,
                                const Options& options) {
+  if (options.sa_sample_rate == 0) {
+    return Status::InvalidArgument("sa_sample_rate must be positive");
+  }
   // Index the reversed text so search steps consume the pattern in order.
   return BuildOver(std::vector<DnaCode>(text.rbegin(), text.rend()), options);
 }
@@ -17,9 +20,6 @@ Result<FmIndex> FmIndex::Build(const std::vector<DnaCode>& text,
 Result<FmIndex> FmIndex::BuildOver(const std::vector<DnaCode>& sequence,
                                    const Options& options) {
   BWTK_SCOPED_TIMER(kPhaseIndexBuild);
-  if (options.sa_sample_rate == 0) {
-    return Status::InvalidArgument("sa_sample_rate must be positive");
-  }
   if (options.prefix_table_q > PrefixIntervalTable::kMaxQ) {
     return Status::InvalidArgument(
         "prefix_table_q must be at most " +
@@ -33,10 +33,12 @@ Result<FmIndex> FmIndex::BuildOver(const std::vector<DnaCode>& sequence,
   BWTK_ASSIGN_OR_RETURN(auto sa, BuildSuffixArrayDna(sequence));
   index.bwt_ = std::make_unique<Bwt>(BwtFromSuffixArray(sequence, sa));
 
-  // Sample the suffix array before discarding it.
-  index.sampled_rows_ = BitVectorRank(sa.size());
-  for (size_t row = 0; row < sa.size(); ++row) {
-    if (static_cast<uint32_t>(sa[row]) % options.sa_sample_rate == 0) {
+  // Sample the suffix array before discarding it; a reverse half (rate 0)
+  // keeps no samples.
+  const uint32_t rate = options.sa_sample_rate;
+  index.sampled_rows_ = BitVectorRank(rate == 0 ? 0 : sa.size());
+  for (size_t row = 0; rate != 0 && row < sa.size(); ++row) {
+    if (static_cast<uint32_t>(sa[row]) % rate == 0) {
       index.sampled_rows_.Set(row);
       index.sa_samples_.push_back(sa[row]);
     }
@@ -127,23 +129,28 @@ FmIndex::Range FmIndex::MatchForward(
   return range;
 }
 
-SaIndex FmIndex::LfStep(SaIndex row) const {
-  BWTK_DCHECK_NE(static_cast<size_t>(row), bwt_->sentinel_row);
-  BWTK_METRIC_COUNT2(kCounterLfSteps, 1, kCounterRankCalls, 1);
-  const DnaCode c = bwt_->codes.at(static_cast<size_t>(row));
-  return static_cast<SaIndex>(first_row_[c] +
-                              occ_.Rank(c, static_cast<size_t>(row)));
+void FmIndex::DropSamples() {
+  options_.sa_sample_rate = 0;
+  sampled_rows_ = BitVectorRank(0);
+  sampled_rows_.FinalizeRank();
+  sa_samples_ = std::vector<SaIndex>();
+}
+
+size_t FmIndex::WalkToSample(SaIndex row, uint64_t* lf_steps) const {
+  BWTK_CHECK(options_.sa_sample_rate != 0)
+      << "locate on an index without suffix-array samples";
+  size_t at = static_cast<size_t>(row);
+  size_t steps = 0;
+  while (!LocateStep(&at)) ++steps;
+  *lf_steps += steps;
+  return Sample(at) + steps;
 }
 
 size_t FmIndex::SuffixArrayValue(SaIndex row) const {
-  size_t steps = 0;
-  while (!sampled_rows_.Get(static_cast<size_t>(row))) {
-    row = LfStep(row);
-    ++steps;
-  }
-  const size_t sample =
-      static_cast<size_t>(sa_samples_[sampled_rows_.Rank1(row)]);
-  return sample + steps;
+  uint64_t lf_steps = 0;
+  const size_t value = WalkToSample(row, &lf_steps);
+  BWTK_METRIC_COUNT2(kCounterLfSteps, lf_steps, kCounterRankCalls, lf_steps);
+  return value;
 }
 
 std::vector<size_t> FmIndex::Locate(Range range, size_t depth) const {
@@ -152,13 +159,15 @@ std::vector<size_t> FmIndex::Locate(Range range, size_t depth) const {
   BWTK_SCOPED_TIMER(kPhaseLocate);
   BWTK_METRIC_COUNT(kCounterLocateCalls);
   positions.reserve(static_cast<size_t>(range.count()));
+  uint64_t lf_steps = 0;
   for (SaIndex row = range.lo; row < range.hi; ++row) {
-    const size_t p = SuffixArrayValue(row);
+    const size_t p = WalkToSample(row, &lf_steps);
     // Row matches `depth` characters starting at position p of the reversed
     // text; in the original text the occurrence starts at n - depth - p.
     BWTK_DCHECK_LE(p + depth, n_);
     positions.push_back(n_ - depth - p);
   }
+  BWTK_METRIC_COUNT2(kCounterLfSteps, lf_steps, kCounterRankCalls, lf_steps);
   return positions;
 }
 

@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 #include "suffix/suffix_array.h"
 #include "util/bit_vector.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace bwtk {
@@ -126,8 +127,48 @@ class FmIndex {
   std::vector<size_t> Locate(Range range, size_t depth) const;
 
   /// Suffix-array value of `row` (position in the reversed text), recovered
-  /// from the samples by LF-walking.
+  /// from the samples by LF-walking: LocateStep until a sampled row, whose
+  /// sample plus the LF steps taken is the value.
   size_t SuffixArrayValue(SaIndex row) const;
+
+  /// One step of that walk. When `*row` is sampled, replaces it with the
+  /// index of its sample (Sample reads it) and returns true; otherwise
+  /// LF-maps it to the row of the suffix one text position to the left and
+  /// returns false. Counts nothing: callers tally their LF steps and flush
+  /// them, as the extension steps are (see the note in occ_table.h). A
+  /// scheme walk takes one step per turn (BidirWalkSet), SuffixArrayValue
+  /// loops over it. Requires an index with samples: not the reverse half
+  /// of a BiFmIndex.
+  bool LocateStep(size_t* row) const {
+    BWTK_DCHECK(options_.sa_sample_rate != 0);
+    const size_t at = *row;
+    if (sampled_rows_.Get(at)) {
+      *row = static_cast<size_t>(sampled_rows_.Rank1(at));
+      return true;
+    }
+    BWTK_DCHECK_NE(at, bwt_->sentinel_row);
+    const DnaCode c = bwt_->codes.at(at);
+    *row = static_cast<size_t>(first_row_[c]) + occ_.Rank(c, at);
+    return false;
+  }
+
+  /// Suffix-array value stored as sample `i` (LocateStep's sampled result).
+  size_t Sample(size_t i) const { return static_cast<size_t>(sa_samples_[i]); }
+
+  /// Hints the cache that LocateStep(row) comes next: prefetches the
+  /// sampled-row bit word and its rank word, the BWT word and the
+  /// occurrence checkpoint. Force-inlined for the reason given at
+  /// OccTable::Prefetch.
+  [[gnu::always_inline]] void PrefetchLocateStep(size_t row) const {
+    sampled_rows_.Prefetch(row);
+    __builtin_prefetch(bwt_->codes.words().data() + (row >> 5));
+    occ_.Prefetch(row);
+  }
+
+  /// Hints the cache that Sample(i) comes next. Force-inlined likewise.
+  [[gnu::always_inline]] void PrefetchSample(size_t i) const {
+    __builtin_prefetch(sa_samples_.data() + i);
+  }
 
   const Bwt& bwt() const { return *bwt_; }
   const OccTable& occ() const { return occ_; }
@@ -174,12 +215,21 @@ class FmIndex {
 
   /// Build() without the reversal: the BWT is that of sequence$, so this
   /// equals Build(reverse(sequence)). BiFmIndex builds its reverse half
-  /// from the text this way.
+  /// from the text this way, with options.sa_sample_rate 0: such a half
+  /// keeps no suffix-array samples, and a locate call on it fails a CHECK.
   static Result<FmIndex> BuildOver(const std::vector<DnaCode>& sequence,
                                    const Options& options);
 
-  /// LF mapping: row of the suffix one position to the left.
-  SaIndex LfStep(SaIndex row) const;
+  /// Load() that also accepts a stream without suffix-array samples: the
+  /// reverse half of a BWTB stream.
+  static Result<FmIndex> LoadReverseHalf(std::istream& in);
+
+  /// Frees the suffix-array samples; the index is then a reverse half, as
+  /// BuildOver makes it at sa_sample_rate 0.
+  void DropSamples();
+
+  /// SuffixArrayValue that adds the LF steps it takes to `*lf_steps`.
+  size_t WalkToSample(SaIndex row, uint64_t* lf_steps) const;
 
   /// Rebuilds occ_ / first_row_ after bwt_ and samples are in place.
   Status FinishConstruction();
@@ -192,7 +242,8 @@ class FmIndex {
   /// [kDnaAlphabetSize] caps the table at rows().
   std::array<SaIndex, kDnaAlphabetSize + 1> first_row_{};
   /// sampled_rows_[row] marks rows whose SA value is a multiple of the
-  /// sample rate; sa_samples_ stores those values in row order.
+  /// sample rate; sa_samples_ stores those values in row order. Both are
+  /// empty when sa_sample_rate is 0 (a BiFmIndex's reverse half).
   BitVectorRank sampled_rows_;
   std::vector<SaIndex> sa_samples_;
   /// Optional q-gram shortcut table (Options::prefix_table_q > 0).

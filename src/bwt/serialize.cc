@@ -71,7 +71,10 @@ class FmIndexSerializer {
     return Status::OK();
   }
 
-  static Result<FmIndex> Load(std::istream& in) {
+  // `require_samples` is false only for the reverse half of a BWTB stream
+  // (sa_sample_rate 0, empty sample sections): every engine that loads a
+  // plain FM-index file locates on it.
+  static Result<FmIndex> Load(std::istream& in, bool require_samples) {
     uint32_t magic = 0;
     uint32_t version = 0;
     if (!ReadPod(in, &magic) || magic != FmIndexFormat::kMagic) {
@@ -113,11 +116,17 @@ class FmIndexSerializer {
         bwt_words.size() * 32 < bwt_size) {
       return Status::Corruption("inconsistent FM-index geometry");
     }
+    const bool sampled = index.options_.sa_sample_rate != 0;
+    if (require_samples && !sampled) {
+      return Status::Corruption(
+          "FM-index stream holds no suffix-array samples (the reverse half "
+          "of a bidirectional index)");
+    }
     index.n_ = n;
     index.bwt_ = std::make_unique<Bwt>();
     index.bwt_->codes = PackedSequence(std::move(bwt_words), bwt_size);
     index.bwt_->sentinel_row = sentinel_row;
-    index.sampled_rows_ = BitVectorRank(bwt_size);
+    index.sampled_rows_ = BitVectorRank(sampled ? bwt_size : 0);
     if (sample_mark_words.size() != index.sampled_rows_.words().size()) {
       return Status::Corruption("inconsistent SA sample bitmap");
     }
@@ -144,7 +153,11 @@ Status FmIndex::Save(std::ostream& out) const {
 }
 
 Result<FmIndex> FmIndex::Load(std::istream& in) {
-  return FmIndexSerializer::Load(in);
+  return FmIndexSerializer::Load(in, /*require_samples=*/true);
+}
+
+Result<FmIndex> FmIndex::LoadReverseHalf(std::istream& in) {
+  return FmIndexSerializer::Load(in, /*require_samples=*/false);
 }
 
 Status FmIndex::SaveToFile(const std::string& path) const {

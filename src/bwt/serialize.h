@@ -25,7 +25,10 @@ namespace bwtk {
 ///       4^q packed {lo,hi} entries when q > 0) between the SA samples and
 ///       the checksum. q = 0 marks "no table".
 /// The reader accepts any version in [kMinSupportedVersion, kVersion]; a
-/// version-1 file simply loads with no prefix table.
+/// version-1 file simply loads with no prefix table. A stream whose SA
+/// sample rate is 0 and whose sample sections are empty is the reverse half
+/// of a BWTB stream: FmIndex::Load rejects it, and only BiFmIndex::Load
+/// reads it.
 struct FmIndexFormat {
   static constexpr uint32_t kMagic = 0x4257544b;  // "BWTK"
   static constexpr uint32_t kVersion = 2;

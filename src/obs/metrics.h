@@ -61,14 +61,14 @@ enum CounterId : uint32_t {
   // locals and flush totals to the registry once per query (MatchForward
   // after its loop; the S-tree/Algorithm A engines at query end, deriving
   // extendall = extend_calls / 4 and rankall = 2 * extendall). LF steps
-  // (one Rank each) are counted per call — they sit on the µs-scale Locate
-  // path. The k-error/wildcard extensions are not instrumented. See the
-  // note in occ_table.h.
+  // (one Rank each) are tallied likewise and flushed once per Locate or
+  // SuffixArrayValue call and once per scheme walk. The k-error/wildcard
+  // extensions are not instrumented. See the note in occ_table.h.
   kCounterRankCalls,       ///< OccTable::Rank invocations.
   kCounterRankAllCalls,    ///< OccTable::RankAll invocations.
   kCounterExtendCalls,     ///< FmIndex::Extend backward-search steps.
   kCounterExtendAllCalls,  ///< FmIndex::ExtendAll fused 4-way steps.
-  kCounterLfSteps,         ///< LF-mapping steps (Locate / SuffixArrayValue).
+  kCounterLfSteps,         ///< LF-mapping steps toward SA samples.
   kCounterLocateCalls,     ///< FmIndex::Locate range resolutions.
   // mismatch / Algorithm A layer.
   kCounterRijBuilds,     ///< R_ij mismatch arrays computed (cache misses).

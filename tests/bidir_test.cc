@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -27,12 +28,15 @@ using ::bwtk::testing::PeriodicDna;
 using ::bwtk::testing::RandomDna;
 using ::bwtk::testing::SampleWithFlips;
 
-// Rows the scheme walks on this process have read on in the text so far (0
-// in builds without metrics).
+// The process-wide total of counter `id` so far (0 in builds without
+// metrics).
+uint64_t CounterTotal(obs::CounterId id) {
+  return obs::MetricsRegistry::Instance().Snapshot().counters[id];
+}
+
+// Rows the scheme walks on this process have read on in the text so far.
 uint64_t VerifiedRows() {
-  return obs::MetricsRegistry::Instance()
-      .Snapshot()
-      .counters[obs::kCounterBidirVerifiedRows];
+  return CounterTotal(obs::kCounterBidirVerifiedRows);
 }
 
 // Brute-force count of exact occurrences of `window` in `text`.
@@ -52,6 +56,24 @@ std::string SavedBytes(const Index& index) {
   std::stringstream stream;
   EXPECT_TRUE(index.Save(stream).ok());
   return stream.str();
+}
+
+// `bytes`, a saved FmIndex stream, as the same half without suffix-array
+// samples saves it: sample rate 0 and both sample sections empty.
+std::string WithoutSamples(std::string bytes) {
+  auto count_at = [&bytes](size_t offset) {
+    uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + offset, sizeof(count));
+    return static_cast<size_t>(count);
+  };
+  // Magic, version, n and the checkpoint rate come before the sample rate;
+  // the sentinel row and the BWT size follow it, then the BWT words.
+  const uint32_t no_rate = 0;
+  std::memcpy(bytes.data() + 20, &no_rate, sizeof(no_rate));
+  const size_t marks = 48 + 8 * count_at(40);
+  const size_t samples = marks + 8 + 8 * count_at(marks);
+  const size_t end = samples + 8 + sizeof(SaIndex) * count_at(samples);
+  return bytes.substr(0, marks) + std::string(16, '\0') + bytes.substr(end);
 }
 
 // ---------------------------------------------------------------------------
@@ -188,7 +210,7 @@ TEST(BiFmIndexTest, ReverseKeyReversesBase4Digits) {
 TEST(BiFmIndexSerializationTest, RoundTripPreservesQueries) {
   // The stream holds the halves only; Load rebuilds the text from the
   // forward half, so the loaded index answers like the one it was saved
-  // from, counters included, and saves the same bytes.
+  // from, counters included, holds as many bytes and saves the same ones.
   Rng rng(105);
   const auto text = RandomDna(500, &rng);
   const auto built = BiFmIndex::Build(text).value();
@@ -197,6 +219,7 @@ TEST(BiFmIndexSerializationTest, RoundTripPreservesQueries) {
   const auto loaded = BiFmIndex::Load(stream).value();
   ASSERT_EQ(loaded.text_size(), built.text_size());
   EXPECT_EQ(loaded.text().Unpack(), text);
+  EXPECT_EQ(loaded.MemoryUsage(), built.MemoryUsage());
   const BidirectionalSearch before(&built), after(&loaded);
   for (int trial = 0; trial < 10; ++trial) {
     const auto pattern = SampleWithFlips(text, rng.NextBounded(400), 30,
@@ -234,6 +257,22 @@ TEST(BiFmIndexSerializationTest, RejectsMonolithicForwardIndexFile) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("forward-only"), std::string::npos)
       << loaded.status().message();
+}
+
+TEST(BiFmIndexSerializationTest, ForwardLoaderRejectsTheReverseHalf) {
+  // The reverse half keeps no suffix-array samples, so the forward-only
+  // engines, which all locate, must not load it as a plain FM-index file.
+  Rng rng(112);
+  const auto built = BiFmIndex::Build(RandomDna(400, &rng)).value();
+  std::stringstream reverse_half(SavedBytes(built.reverse()));
+  const auto loaded = FmIndex::Load(reverse_half);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("no suffix-array samples"),
+            std::string::npos)
+      << loaded.status().message();
+  std::stringstream forward_half(SavedBytes(built.forward()));
+  EXPECT_TRUE(FmIndex::Load(forward_half).ok());
 }
 
 TEST(BiFmIndexSerializationTest, RejectsTruncatedStream) {
@@ -313,7 +352,8 @@ TEST(BiFmIndexTest, FromForwardMatchesDirectBuild) {
 TEST(BiFmIndexTest, HalvesSaveTheBytesOfSeparateBuilds) {
   // The forward half is FmIndex::Build(text) with the seed table at
   // SeedTableQ; the reverse half, built on a second thread from the text
-  // itself, must still be byte for byte FmIndex::Build(reverse(text)).
+  // itself, must still be byte for byte FmIndex::Build(reverse(text)),
+  // less its suffix-array samples.
   Rng rng(107);
   for (const auto& text :
        {RandomDna(600, &rng), PeriodicDna(700, 5, 0.03, &rng),
@@ -325,7 +365,8 @@ TEST(BiFmIndexTest, HalvesSaveTheBytesOfSeparateBuilds) {
     EXPECT_EQ(SavedBytes(bidir.forward()),
               SavedBytes(FmIndex::Build(text, options).value()));
     EXPECT_EQ(SavedBytes(bidir.reverse()),
-              SavedBytes(FmIndex::Build(reversed, options).value()));
+              WithoutSamples(
+                  SavedBytes(FmIndex::Build(reversed, options).value())));
   }
 }
 
@@ -342,9 +383,10 @@ TEST(BiFmIndexTest, SeedTableQFollowsTextLength) {
             PrefixIntervalTable::kMaxQ);
 }
 
-// A BWTB stream whose halves carry no seed tables, as BiFmIndex::Save wrote
-// it before every index carried them: the halves of two FmIndex builds
-// framed by the header and closed by the pair checksum.
+// A version-1 BWTB stream whose halves carry no seed tables, as
+// BiFmIndex::Save wrote it before every index carried them: the halves of
+// two FmIndex builds, both with suffix-array samples, framed by the header
+// and closed by the pair checksum.
 std::string TablelessPairStream(const std::vector<DnaCode>& text) {
   const auto fwd = FmIndex::Build(text).value();
   const auto rev =
@@ -354,7 +396,7 @@ std::string TablelessPairStream(const std::vector<DnaCode>& text) {
     bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
   };
   put(BiFmIndexFormat::kMagic);
-  put(BiFmIndexFormat::kVersion);
+  put(uint32_t{1});
   put(uint64_t{text.size()});
   bytes += SavedBytes(fwd) + SavedBytes(rev);
   uint64_t checksum = 0xcbf29ce484222325ULL;
@@ -379,8 +421,8 @@ TEST(BiFmIndexTest, EveryConstructorTablesBothHalvesAtSeedTableQ) {
     const std::string fwd_bytes = SavedBytes(built.forward());
     const std::string rev_bytes = SavedBytes(built.reverse());
     // FromForward of a forward index without a table, with one at another
-    // q and with one at q, and Load of a table-less stream, all end where
-    // Build does.
+    // q and with one at q, and Load of a table-less version-1 stream (whose
+    // reverse half's samples it drops), all end where Build does.
     for (const uint32_t forward_q : {0u, 5u, q}) {
       const auto upgraded =
           BiFmIndex::FromForward(
@@ -394,6 +436,7 @@ TEST(BiFmIndexTest, EveryConstructorTablesBothHalvesAtSeedTableQ) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(SavedBytes(loaded.value().forward()), fwd_bytes);
     EXPECT_EQ(SavedBytes(loaded.value().reverse()), rev_bytes);
+    EXPECT_EQ(loaded.value().MemoryUsage(), built.MemoryUsage());
   }
 }
 
@@ -426,8 +469,9 @@ TEST(BiFmIndexTest, BuildRejectsPrefixTableQ) {
 }
 
 TEST(BiFmIndexTest, BuildRejectsZeroSampleRate) {
-  // Both halves reject the options; Build reports it once both threads are
-  // done (the TSan leg reports a thread left unjoined).
+  // The forward half rejects the options (the reverse half keeps no samples
+  // at any rate); Build reports it once both threads are done (the TSan leg
+  // reports a thread left unjoined).
   FmIndex::Options options;
   options.sa_sample_rate = 0;
   const auto built = BiFmIndex::Build(Codes("acgtacgt"), options);
@@ -804,41 +848,48 @@ void Append(const std::vector<DnaCode>& part, std::vector<DnaCode>* text) {
   text->insert(text->end(), part.begin(), part.end());
 }
 
-TEST(FinishInTextTest, MatchesNaiveOnRepeatsAndAtTheTextEnds) {
-  // Four near-copies of one block around a random stretch, so that narrow
-  // intervals hold 2 to 4 rows. Patterns start at 0 and at n - m, hang over
-  // either end of the text, and sit inside the copies; k runs from 0 to 5.
+using Queries = std::vector<std::pair<std::vector<DnaCode>, int32_t>>;
+
+// Four near-copies of one block around a random stretch, so that narrow
+// intervals hold 2 to 4 rows, and queries on it: patterns start at 0 and at
+// n - m, hang over either end of the text, and sit inside the copies; k
+// runs from 0 to 5.
+void RepeatsAndTextEnds(std::vector<DnaCode>* text, Queries* queries) {
   Rng rng(420);
   const auto block = RandomDna(250, &rng);
-  std::vector<DnaCode> text;
-  Append(block, &text);
-  Append(SampleWithFlips(block, 0, block.size(), 3, &rng), &text);
-  Append(RandomDna(150, &rng), &text);
-  Append(block, &text);
-  Append(SampleWithFlips(block, 0, block.size(), 6, &rng), &text);
-  const size_t n = text.size();
-  const auto index = BiFmIndex::Build(text).value();
-  const BidirectionalSearch engine(&index);
-  const NaiveSearch naive(&text);
-  std::vector<std::pair<std::vector<DnaCode>, int32_t>> queries;
+  Append(block, text);
+  Append(SampleWithFlips(block, 0, block.size(), 3, &rng), text);
+  Append(RandomDna(150, &rng), text);
+  Append(block, text);
+  Append(SampleWithFlips(block, 0, block.size(), 6, &rng), text);
+  const size_t n = text->size();
   for (const size_t m : {size_t{16}, size_t{24}, size_t{40}, size_t{64}}) {
     for (int32_t k = 0; k <= 5; ++k) {
       const int flips = static_cast<int>(rng.NextBounded(k + 1));
-      queries.push_back({SampleWithFlips(text, 0, m, flips, &rng), k});
-      queries.push_back({SampleWithFlips(text, n - m, m, flips, &rng), k});
+      queries->push_back({SampleWithFlips(*text, 0, m, flips, &rng), k});
+      queries->push_back({SampleWithFlips(*text, n - m, m, flips, &rng), k});
       const size_t over = 1 + rng.NextBounded(k + 2);
       std::vector<DnaCode> head = RandomDna(over, &rng);
-      head.insert(head.end(), text.begin(), text.begin() + (m - over));
-      queries.push_back({head, k});
-      std::vector<DnaCode> tail(text.end() - (m - over), text.end());
+      head.insert(head.end(), text->begin(), text->begin() + (m - over));
+      queries->push_back({head, k});
+      std::vector<DnaCode> tail(text->end() - (m - over), text->end());
       Append(RandomDna(over, &rng), &tail);
-      queries.push_back({tail, k});
-      queries.push_back(
+      queries->push_back({tail, k});
+      queries->push_back(
           {SampleWithFlips(block, rng.NextBounded(block.size() - m + 1), m,
                            flips, &rng),
            k});
     }
   }
+}
+
+TEST(FinishInTextTest, MatchesNaiveOnRepeatsAndAtTheTextEnds) {
+  std::vector<DnaCode> text;
+  Queries queries;
+  RepeatsAndTextEnds(&text, &queries);
+  const auto index = BiFmIndex::Build(text).value();
+  const BidirectionalSearch engine(&index);
+  const NaiveSearch naive(&text);
   const uint64_t verified_before = VerifiedRows();
   const std::vector<WalkAnswer> alone = AnswerThroughWalks(engine, queries, 1);
   const std::vector<WalkAnswer> interleaved =
@@ -856,6 +907,73 @@ TEST(FinishInTextTest, MatchesNaiveOnRepeatsAndAtTheTextEnds) {
   EXPECT_TRUE(repeated_string);
   if (BWTK_METRICS_ENABLED) {
     EXPECT_GT(VerifiedRows(), verified_before);
+  }
+}
+
+TEST(FinishInTextTest, LongResolveChainsMatchAtEveryWidth) {
+  // Rows resolve one locate step per turn. At sample rate 32 a row takes up
+  // to 31 LF steps to its sample, so its resolve spans many turns and
+  // interleaves with the other walks' extends; at rate 1 every row is
+  // sampled and no LF step is taken. The periodic text, 30 noisy copies of
+  // a 40-base unit, gives complete frames of more than 4 rows, which are
+  // resolved 4 at a time. Hits must equal the naive scanner's, and hits,
+  // stats and LF steps must be the same at every width.
+  std::vector<DnaCode> repeats;
+  Queries repeat_queries;
+  RepeatsAndTextEnds(&repeats, &repeat_queries);
+  Rng rng(422);
+  const std::vector<DnaCode> periodic = PeriodicDna(1200, 40, 0.002, &rng);
+  Queries periodic_queries;
+  for (int i = 0; i < 60; ++i) {
+    const size_t m = 16 + rng.NextBounded(60);
+    const int32_t k = static_cast<int32_t>(rng.NextBounded(4));
+    periodic_queries.push_back(
+        {SampleWithFlips(periodic, rng.NextBounded(periodic.size() - m + 1),
+                         m, static_cast<int>(rng.NextBounded(k + 1)), &rng),
+         k});
+  }
+  for (const uint32_t rate : {1u, 8u, 32u}) {
+    for (const auto& [text, queries] :
+         {std::pair<const std::vector<DnaCode>*, const Queries*>{
+              &repeats, &repeat_queries},
+          {&periodic, &periodic_queries}}) {
+      SCOPED_TRACE("rate " + std::to_string(rate) + ", n = " +
+                   std::to_string(text->size()));
+      const auto index =
+          BiFmIndex::Build(*text, {.sa_sample_rate = rate}).value();
+      const BidirectionalSearch engine(&index);
+      const NaiveSearch naive(text);
+      uint64_t lf_before = CounterTotal(obs::kCounterLfSteps);
+      const std::vector<WalkAnswer> alone =
+          AnswerThroughWalks(engine, *queries, 1);
+      const uint64_t lf_steps = CounterTotal(obs::kCounterLfSteps) - lf_before;
+      bool wide_complete_frame = false;
+      for (size_t q = 0; q < queries->size(); ++q) {
+        const auto& [pattern, k] = (*queries)[q];
+        ASSERT_EQ(alone[q].hits, naive.Search(pattern, k)) << "query " << q;
+        // At k = 0 every hit comes from one complete frame.
+        wide_complete_frame |= k == 0 && alone[q].hits.size() > 4;
+      }
+      if (text == &periodic) {
+        EXPECT_TRUE(wide_complete_frame);
+      }
+      if (BWTK_METRICS_ENABLED) {
+        EXPECT_EQ(lf_steps == 0, rate == 1) << lf_steps;
+      }
+      for (const size_t width : {size_t{3}, size_t{8}}) {
+        lf_before = CounterTotal(obs::kCounterLfSteps);
+        const std::vector<WalkAnswer> interleaved =
+            AnswerThroughWalks(engine, *queries, width);
+        EXPECT_EQ(CounterTotal(obs::kCounterLfSteps) - lf_before, lf_steps)
+            << "width " << width;
+        for (size_t q = 0; q < queries->size(); ++q) {
+          ASSERT_EQ(interleaved[q].hits, alone[q].hits)
+              << "width " << width << " query " << q;
+          ASSERT_EQ(interleaved[q].stats, alone[q].stats)
+              << "width " << width << " query " << q;
+        }
+      }
+    }
   }
 }
 
