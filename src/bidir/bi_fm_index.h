@@ -199,10 +199,11 @@ class BiFmIndex {
 
   /// Reverses the base-4 digits of a forward prefix-table key (key < 4^q):
   /// the reverse half's table is keyed by the window read right to left, so
-  /// the seed step looks up PackKey(W) in the forward table and ReverseKey
-  /// of it in the reverse table. It reverses all 32 digits of the word
-  /// (swap digit pairs, then nibbles, then bytes) and shifts the q that
-  /// were the key down again; a seed step calls it twice per variant.
+  /// a window W's entries are PackKey(W) in the forward table and
+  /// ReverseKey of it in the reverse table. It reverses all 32 digits of the
+  /// word (swap digit pairs, then nibbles, then bytes) and shifts the q that
+  /// were the key down again. The seed tables' pair check calls it once per
+  /// key; a seed step takes both keys from PrefixIntervalTable::Variant.
   static uint64_t ReverseKey(uint64_t key, uint32_t q) {
     BWTK_DCHECK(q <= 32 && (q == 32 || key >> (2 * q) == 0));
     if (q == 0) return 0;

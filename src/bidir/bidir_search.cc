@@ -60,6 +60,14 @@ struct Frame {
   int32_t mismatches = 0;
 };
 
+/// A seed variant of the current search's first piece: its forward and
+/// reverse table keys and its mismatches.
+struct Seed {
+  uint64_t key = 0;
+  uint64_t reverse_key = 0;
+  int32_t mismatches = 0;
+};
+
 // A frame is finished in the text when its interval holds at most
 // kVerifyMaxRows rows and a random match of its window is expected at most
 // kVerifyRandomMatches times in the text. On map_reads, five seeds per
@@ -74,7 +82,7 @@ struct BidirWalkSet::Walk {
   enum class Phase : uint8_t {
     kFree,     // no walk in the slot
     kBegin,    // started; the first turn picks the scheme
-    kSeed,     // seed entries prefetched; the next turn looks them up
+    kSeed,     // seeds listed and prefetched; the next turn looks them up
     kFrames,   // popping frames off the stack
     kResolve,  // finishing a frame in the text, one locate step per turn
   };
@@ -98,6 +106,7 @@ struct BidirWalkSet::Walk {
   // The current search; rebuilt per search, capacity kept across walks.
   std::vector<uint32_t> boundaries;
   std::vector<Step> steps;
+  std::vector<Seed> seeds;  // listed by BeginSearch, looked up by SeedFrames
   std::vector<Frame> stack;
 
   // Results.
@@ -507,14 +516,16 @@ bool BidirWalkSet::Resolve(Walk& w) {
   return false;
 }
 
-// Sets up search w.search: its steps, then either the prefetch half of its
+// Sets up search w.search: its steps, then either the first half of its
 // seed step or the root frame.
 //
 // The first piece is seeded from the paired q-gram tables: the surviving
 // depth-q states of a search are exactly the non-empty co-ranges of the
 // length-q strings within Hamming distance upper[0] of the piece's q-prefix,
 // looked up forward-keyed in the forward table and reverse-keyed in the
-// reverse table. Every BiFmIndex tables both halves at one q.
+// reverse table. Every BiFmIndex tables both halves at one q. This turn
+// lists the variants' keys and prefetches both entries of each; the next
+// turn looks them up.
 void BidirWalkSet::BeginSearch(Walk& w) {
   const SchemeSearch& search = w.scheme->searches()[w.search];
   BuildSteps(search, w.boundaries, &w.steps);
@@ -530,19 +541,19 @@ void BidirWalkSet::BeginSearch(Walk& w) {
     w.phase = Walk::Phase::kFrames;
     return;
   }
-  fwd_table->ForEachVariant(
-      w.pattern + first_begin, static_cast<int32_t>(search.upper[0]),
+  w.seeds.clear();
+  PrefixIntervalTable::ForEachVariant(
+      w.pattern + first_begin, q, static_cast<int32_t>(search.upper[0]),
       [&](const PrefixIntervalTable::Variant& v) {
         fwd_table->Prefetch(v.key);
-        rev_table->Prefetch(BiFmIndex::ReverseKey(v.key, q));
+        rev_table->Prefetch(v.reverse_key);
+        w.seeds.push_back({v.key, v.reverse_key, v.mismatches});
       });
   w.phase = Walk::Phase::kSeed;
 }
 
-// The lookup half of the seed step: pushes one frame per surviving variant.
+// The second half of the seed step: pushes one frame per seed that occurs.
 void BidirWalkSet::SeedFrames(Walk& w) {
-  const SchemeSearch& search = w.scheme->searches()[w.search];
-  const uint32_t first_begin = w.boundaries[search.order[0]];
   const PrefixIntervalTable* fwd_table = w.index->forward().prefix_table();
   const PrefixIntervalTable* rev_table = w.index->reverse().prefix_table();
   const uint32_t q = fwd_table->q();
@@ -550,29 +561,26 @@ void BidirWalkSet::SeedFrames(Walk& w) {
   // in which case the piece-boundary lower bound applies.
   const uint16_t lower = w.steps[q - 1].lower;
   uint64_t table_hits = 0;
-  fwd_table->ForEachVariant(
-      w.pattern + first_begin, static_cast<int32_t>(search.upper[0]),
-      [&](const PrefixIntervalTable::Variant& v) {
-        SaIndex flo;
-        SaIndex fhi;
-        if (!fwd_table->Lookup(v.key, &flo, &fhi)) return;
-        SaIndex rlo;
-        SaIndex rhi;
-        const bool rev_hit =
-            rev_table->Lookup(BiFmIndex::ReverseKey(v.key, q), &rlo, &rhi);
-        // Both tables count the same occurrences of the variant gram.
-        BWTK_DCHECK(rev_hit);
-        BWTK_DCHECK_EQ(fhi - flo, rhi - rlo);
-        (void)rev_hit;
-        ++table_hits;
-        ++w.stats.stree_nodes;
-        BWTK_TRACE_NODE(w.trace, q);
-        if (v.mismatches < lower) {
-          ++w.stats.tau_pruned;
-          return;
-        }
-        w.stack.push_back({{{flo, fhi}, {rlo, rhi}}, q, v.mismatches});
-      });
+  for (const Seed& seed : w.seeds) {
+    SaIndex flo;
+    SaIndex fhi;
+    if (!fwd_table->Lookup(seed.key, &flo, &fhi)) continue;
+    SaIndex rlo;
+    SaIndex rhi;
+    const bool rev_hit = rev_table->Lookup(seed.reverse_key, &rlo, &rhi);
+    // Both tables count the same occurrences of the variant gram.
+    BWTK_DCHECK(rev_hit);
+    BWTK_DCHECK_EQ(fhi - flo, rhi - rlo);
+    (void)rev_hit;
+    ++table_hits;
+    ++w.stats.stree_nodes;
+    BWTK_TRACE_NODE(w.trace, q);
+    if (seed.mismatches < lower) {
+      ++w.stats.tau_pruned;
+      continue;
+    }
+    w.stack.push_back({{{flo, fhi}, {rlo, rhi}}, q, seed.mismatches});
+  }
   BWTK_METRIC_COUNT2(kCounterPrefixTableHits, table_hits,
                      kCounterPrefixTableSkippedSteps, table_hits * q);
   BWTK_TRACE_PREFIX_HITS(w.trace, table_hits);

@@ -128,8 +128,9 @@ class BidirectionalSearch {
 /// extends it and pushes its children exactly as a lone search would, then
 /// prefetches the rank blocks of that walk's next frame, so its misses are
 /// under way while the other walks take their turns. A walk's seed step
-/// takes two turns: one prefetches the q-gram table entries of every seed
-/// variant, the next looks them up.
+/// takes two turns: one enumerates the seed variants once, keeping both
+/// tables' keys of each in the slot's seed list, and prefetches their
+/// entries; the next looks the list's entries up.
 ///
 /// A frame that is complete, or narrow and long enough (see
 /// BidirectionalSearch), is finished in the text over several turns: each

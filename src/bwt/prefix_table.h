@@ -112,10 +112,13 @@ class PrefixIntervalTable {
   }
 
   /// One length-q string within Hamming distance kMaxSeedMismatches of the
-  /// enumerated q-gram: its table key plus the substitutions that produced
-  /// it (pattern position, substituted symbol), in position order.
+  /// enumerated q-gram: its table key, the key of the same string read
+  /// right to left (what BiFmIndex's reverse table is indexed by; equal to
+  /// BiFmIndex::ReverseKey(key, q)), and the substitutions that produced it
+  /// (pattern position, substituted symbol), in position order.
   struct Variant {
     uint64_t key = 0;
+    uint64_t reverse_key = 0;
     int32_t mismatches = 0;
     std::array<std::pair<uint16_t, DnaCode>, kMaxSeedMismatches> subs{};
   };
@@ -123,13 +126,59 @@ class PrefixIntervalTable {
   /// Invokes `fn(const Variant&)` for every length-q string within Hamming
   /// distance `budget` of gram[0..q) — the complete set of depth-q S-tree
   /// states a k-mismatch enumeration (k = budget) can reach. Seeding a
-  /// search from the non-empty variants is therefore result-identical to
-  /// enumerating the first q levels with search() steps. Requires
-  /// 0 <= budget <= kMaxSeedMismatches.
+  /// search from the non-empty variants of a table at q is therefore
+  /// result-identical to enumerating the first q levels with search()
+  /// steps. Requires 1 <= q <= kMaxQ and 0 <= budget <= kMaxSeedMismatches.
+  ///
+  /// The order is part of the contract (a seeded walk's DFS order, and so
+  /// Algorithm A's DAG memo and M-tree counters, follow it): the gram
+  /// itself; then, for the first substitution's position i from q-1 down to
+  /// 0 and its symbol in ascending order, the one-substitution variant,
+  /// followed under budget 2 by its second substitutions at positions from
+  /// q-1 down to i+1, symbols ascending. This is the depth-first order of
+  /// a left-to-right descent that tries the pattern's symbol first. Each
+  /// variant's keys are the gram's two keys with the substituted digits
+  /// flipped: symbol c at position i is digit q-1-i of `key` and digit i of
+  /// `reverse_key`.
   template <typename Fn>
-  void ForEachVariant(const DnaCode* gram, int32_t budget, Fn&& fn) const {
+  static void ForEachVariant(const DnaCode* gram, uint32_t q, int32_t budget,
+                             Fn&& fn) {
+    // Written out for one and two substitutions.
+    static_assert(kMaxSeedMismatches == 2);
     Variant v;
-    EnumerateVariants(gram, budget, 0, 0, &v, fn);
+    v.key = PackKey(gram, q);
+    for (uint32_t i = 0; i < q; ++i) {
+      v.reverse_key |= uint64_t{gram[i]} << (2 * i);
+    }
+    fn(static_cast<const Variant&>(v));
+    if (budget == 0) return;
+    const uint64_t key = v.key;
+    const uint64_t reverse_key = v.reverse_key;
+    for (uint32_t i = q; i-- > 0;) {
+      for (DnaCode c = 0; c < kDnaAlphabetSize; ++c) {
+        if (c == gram[i]) continue;
+        const uint64_t flip = gram[i] ^ c;
+        const uint64_t key1 = key ^ (flip << (2 * (q - 1 - i)));
+        const uint64_t reverse_key1 = reverse_key ^ (flip << (2 * i));
+        v.key = key1;
+        v.reverse_key = reverse_key1;
+        v.mismatches = 1;
+        v.subs[0] = {static_cast<uint16_t>(i), c};
+        fn(static_cast<const Variant&>(v));
+        if (budget == 1) continue;
+        v.mismatches = 2;
+        for (uint32_t j = q; j-- > i + 1;) {
+          for (DnaCode d = 0; d < kDnaAlphabetSize; ++d) {
+            if (d == gram[j]) continue;
+            const uint64_t flip2 = gram[j] ^ d;
+            v.key = key1 ^ (flip2 << (2 * (q - 1 - j)));
+            v.reverse_key = reverse_key1 ^ (flip2 << (2 * j));
+            v.subs[1] = {static_cast<uint16_t>(j), d};
+            fn(static_cast<const Variant&>(v));
+          }
+        }
+      }
+    }
   }
 
   /// Heap bytes held by the table.
@@ -142,26 +191,6 @@ class PrefixIntervalTable {
   static uint64_t PackEntry(SaIndex lo, SaIndex hi) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(lo)) << 32) |
            static_cast<uint32_t>(hi);
-  }
-
-  template <typename Fn>
-  void EnumerateVariants(const DnaCode* gram, int32_t budget, uint32_t pos,
-                         uint64_t key, Variant* v, Fn& fn) const {
-    if (pos == q_) {
-      v->key = key;
-      fn(static_cast<const Variant&>(*v));
-      return;
-    }
-    EnumerateVariants(gram, budget, pos + 1,
-                      (key << 2) | gram[pos], v, fn);
-    if (budget == 0) return;
-    for (DnaCode c = 0; c < kDnaAlphabetSize; ++c) {
-      if (c == gram[pos]) continue;
-      v->subs[v->mismatches] = {static_cast<uint16_t>(pos), c};
-      ++v->mismatches;
-      EnumerateVariants(gram, budget - 1, pos + 1, (key << 2) | c, v, fn);
-      --v->mismatches;
-    }
   }
 
   uint32_t q_ = 0;

@@ -181,8 +181,8 @@ class SearchContext {
     const uint32_t q = table->q();
     if (m_ < q || k_ > PrefixIntervalTable::kMaxSeedMismatches) return false;
     uint64_t hits = 0;
-    table->ForEachVariant(
-        r_.data(), k_, [&](const PrefixIntervalTable::Variant& v) {
+    PrefixIntervalTable::ForEachVariant(
+        r_.data(), q, k_, [&](const PrefixIntervalTable::Variant& v) {
           SaIndex lo;
           SaIndex hi;
           if (!table->Lookup(v.key, &lo, &hi)) return;

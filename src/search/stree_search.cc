@@ -44,8 +44,8 @@ std::vector<Occurrence> STreeSearch::Search(
     // performs, and τ never prunes a real occurrence, so the match set is
     // unchanged.
     uint64_t hits = 0;
-    table->ForEachVariant(
-        pattern.data(), k, [&](const PrefixIntervalTable::Variant& v) {
+    PrefixIntervalTable::ForEachVariant(
+        pattern.data(), q, k, [&](const PrefixIntervalTable::Variant& v) {
           SaIndex lo;
           SaIndex hi;
           if (!table->Lookup(v.key, &lo, &hi)) return;

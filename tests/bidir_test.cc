@@ -203,6 +203,63 @@ TEST(BiFmIndexTest, ReverseKeyReversesBase4Digits) {
   }
 }
 
+// A scheme walk seeds its first piece from the two tables, the forward one
+// at each variant's key and the reverse one at its reversed key. Both
+// entries must be the co-range that q right extensions from the root reach
+// on the variant's string.
+TEST(BiFmIndexTest, SeedVariantsLookUpTheCoRangeOfTheirString) {
+  Rng rng(110);
+  for (const size_t length : {size_t{5000}, size_t{1} << 17}) {
+    const auto text = RandomDna(length, &rng);
+    const auto index = BiFmIndex::Build(text).value();
+    const uint32_t q = BiFmIndex::SeedTableQ(text.size());
+    ASSERT_EQ(index.forward().prefix_table_q(), q);
+    ASSERT_EQ(index.reverse().prefix_table_q(), q);
+    const PrefixIntervalTable& fwd = *index.forward().prefix_table();
+    const PrefixIntervalTable& rev = *index.reverse().prefix_table();
+    size_t seeded = 0;
+    for (int trial = 0; trial < 12; ++trial) {
+      // Grams of the text and uniformly random ones.
+      const size_t pos = rng.NextBounded(text.size() - q);
+      const auto gram =
+          trial % 2 == 0
+              ? std::vector<DnaCode>(text.begin() + pos, text.begin() + pos + q)
+              : RandomDna(q, &rng);
+      for (int32_t budget = 0;
+           budget <= PrefixIntervalTable::kMaxSeedMismatches; ++budget) {
+        PrefixIntervalTable::ForEachVariant(
+            gram.data(), q, budget,
+            [&](const PrefixIntervalTable::Variant& v) {
+              std::vector<DnaCode> spelled = gram;
+              for (int32_t s = 0; s < v.mismatches; ++s) {
+                spelled[v.subs[s].first] = v.subs[s].second;
+              }
+              BiFmIndex::BiRange stepped = index.WholeRange();
+              for (const DnaCode c : spelled) {
+                BiFmIndex::BiRange children[kDnaAlphabetSize];
+                index.ExtendRightAll(stepped, children);
+                stepped = children[c];
+              }
+              SaIndex flo = 0;
+              SaIndex fhi = 0;
+              SaIndex rlo = 0;
+              SaIndex rhi = 0;
+              ASSERT_EQ(fwd.Lookup(v.key, &flo, &fhi), !stepped.empty());
+              ASSERT_EQ(rev.Lookup(v.reverse_key, &rlo, &rhi),
+                        !stepped.empty());
+              if (stepped.empty()) return;
+              ++seeded;
+              EXPECT_EQ(flo, stepped.fwd.lo);
+              EXPECT_EQ(fhi, stepped.fwd.hi);
+              EXPECT_EQ(rlo, stepped.rev.lo);
+              EXPECT_EQ(rhi, stepped.rev.hi);
+            });
+      }
+    }
+    EXPECT_GT(seeded, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BiFmIndex: serialization
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "bidir/bi_fm_index.h"
 #include "bwt/fm_index.h"
 #include "bwt/serialize.h"
 #include "obs/metrics.h"
@@ -64,30 +65,74 @@ TEST(PrefixTableTest, ExhaustiveQ3AgreesWithStepping) {
   }
 }
 
+// The order the engines' seeded walks were built on: the depth-first order
+// of a left-to-right descent that tries the gram's own symbol first and the
+// others in ascending order, spending at most `budget` substitutions.
+void ReferenceVariants(const std::vector<DnaCode>& gram, int32_t budget,
+                       uint32_t pos, uint64_t key,
+                       PrefixIntervalTable::Variant* v,
+                       std::vector<PrefixIntervalTable::Variant>* out) {
+  if (pos == gram.size()) {
+    v->key = key;
+    out->push_back(*v);
+    return;
+  }
+  ReferenceVariants(gram, budget, pos + 1, (key << 2) | gram[pos], v, out);
+  if (budget == 0) return;
+  for (DnaCode c = 0; c < kDnaAlphabetSize; ++c) {
+    if (c == gram[pos]) continue;
+    v->subs[v->mismatches] = {static_cast<uint16_t>(pos), c};
+    ++v->mismatches;
+    ReferenceVariants(gram, budget - 1, pos + 1, (key << 2) | c, v, out);
+    --v->mismatches;
+  }
+}
+
 TEST(PrefixTableTest, VariantEnumerationIsCompleteAndOrdered) {
   Rng rng(72);
-  const auto index = BuildIndex(RandomDna(300, &rng), 5);
-  const auto gram = Codes("acgta");
-  for (int32_t budget = 0; budget <= 2; ++budget) {
-    size_t count = 0;
-    size_t exact = 0;
-    index.prefix_table()->ForEachVariant(
-        gram.data(), budget, [&](const PrefixIntervalTable::Variant& v) {
-          ++count;
-          EXPECT_LE(v.mismatches, budget);
-          if (v.mismatches == 0) {
-            ++exact;
-            EXPECT_EQ(v.key, PrefixIntervalTable::PackKey(gram.data(), 5));
-          }
-          // Substitutions are reported in position order.
-          for (int32_t s = 1; s < v.mismatches; ++s) {
+  for (const uint32_t q : {1u, 2u, 5u, 11u, PrefixIntervalTable::kMaxQ}) {
+    const auto gram = q == 5 ? Codes("acgta") : RandomDna(q, &rng);
+    for (int32_t budget = 0;
+         budget <= PrefixIntervalTable::kMaxSeedMismatches; ++budget) {
+      SCOPED_TRACE(::testing::Message() << "q " << q << ", budget " << budget);
+      std::vector<PrefixIntervalTable::Variant> variants;
+      PrefixIntervalTable::ForEachVariant(
+          gram.data(), q, budget,
+          [&](const PrefixIntervalTable::Variant& v) {
+            variants.push_back(v);
+          });
+      // sum_{j<=budget} C(q,j) * 3^j.
+      const size_t pairs = q * (q - 1) / 2;
+      const size_t expected[] = {1, 1 + 3 * q, 1 + 3 * q + 9 * pairs};
+      ASSERT_EQ(variants.size(), expected[budget]);
+      std::vector<PrefixIntervalTable::Variant> reference;
+      PrefixIntervalTable::Variant scratch;
+      ReferenceVariants(gram, budget, 0, 0, &scratch, &reference);
+      ASSERT_EQ(reference.size(), variants.size());
+      // The exact gram comes first.
+      EXPECT_EQ(variants[0].key, PrefixIntervalTable::PackKey(gram.data(), q));
+      std::vector<uint64_t> keys;
+      for (size_t i = 0; i < variants.size(); ++i) {
+        const PrefixIntervalTable::Variant& v = variants[i];
+        ASSERT_EQ(v.key, reference[i].key) << "variant " << i;
+        ASSERT_EQ(v.mismatches, reference[i].mismatches) << "variant " << i;
+        EXPECT_LE(v.mismatches, budget);
+        EXPECT_EQ(v.mismatches == 0, i == 0);
+        for (int32_t s = 0; s < v.mismatches; ++s) {
+          EXPECT_EQ(v.subs[s], reference[i].subs[s]) << "variant " << i;
+          // Substitutions are reported in position order, and substitute.
+          if (s > 0) {
             EXPECT_LT(v.subs[s - 1].first, v.subs[s].first);
           }
-        });
-    // sum_{j<=budget} C(5,j) * 3^j.
-    const size_t expected[] = {1, 1 + 15, 1 + 15 + 90};
-    EXPECT_EQ(count, expected[budget]);
-    EXPECT_EQ(exact, 1u);
+          EXPECT_NE(v.subs[s].second, gram[v.subs[s].first]);
+        }
+        EXPECT_EQ(v.reverse_key, BiFmIndex::ReverseKey(v.key, q))
+            << "variant " << i;
+        keys.push_back(v.key);
+      }
+      std::sort(keys.begin(), keys.end());
+      EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+    }
   }
 }
 
